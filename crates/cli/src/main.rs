@@ -932,13 +932,34 @@ fn cmd_simulate(args: &[String]) -> Result<(), String> {
 mod tests {
     use super::*;
 
-    fn asia_file() -> String {
+    /// A BIF file of asia that only one test uses, removed on drop.
+    /// Tests run in parallel (and several test binaries may run at
+    /// once), so a shared path would let one test read another's
+    /// half-written file.
+    struct AsiaFile(String);
+
+    impl std::ops::Deref for AsiaFile {
+        type Target = str;
+        fn deref(&self) -> &str {
+            &self.0
+        }
+    }
+
+    impl Drop for AsiaFile {
+        fn drop(&mut self) {
+            let _ = std::fs::remove_file(&self.0);
+        }
+    }
+
+    fn asia_file() -> AsiaFile {
+        static NEXT: std::sync::atomic::AtomicUsize = std::sync::atomic::AtomicUsize::new(0);
+        let n = NEXT.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
         let dir = std::env::temp_dir().join("evprop-cli-tests");
         std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("asia.bif");
+        let path = dir.join(format!("asia-{}-{n}.bif", std::process::id()));
         let text = bif::write(&bif::with_generated_names(networks::asia(), "asia"));
         std::fs::write(&path, text).unwrap();
-        path.to_string_lossy().into_owned()
+        AsiaFile(path.to_string_lossy().into_owned())
     }
 
     fn s(v: &[&str]) -> Vec<String> {

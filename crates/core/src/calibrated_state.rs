@@ -3,7 +3,7 @@
 //!
 //! After a full two-phase propagation the [`TableArena`] holds more
 //! than the calibrated clique beliefs — it also holds every collect
-//! separator (`ψ*_S`), every extended collect message, and every
+//! separator (`ψ*_S`, which doubles as the collect message) and every
 //! distribute separator (`ψ**_S`). Incremental re-propagation trades
 //! on exactly that extra state, so [`CalibratedState`] snapshots the
 //! *whole* buffer table, not just the cliques: restoring one into a

@@ -8,19 +8,24 @@ use crate::plan_cache::PlanCache;
 use evprop_jtree::{CliqueId, TreeShape};
 use evprop_potential::EntryRange;
 
-/// Each junction-tree edge expands into 8 tasks: the 4-primitive chain of
-/// the collect message plus the 4-primitive chain of the distribute
-/// message (Fig. 2b/c).
-pub const MESSAGE_TASKS_PER_EDGE: usize = 8;
+/// Each junction-tree edge expands into 6 tasks: the
+/// `Marginalize → Divide → Multiply` chain of the collect message plus
+/// the same chain of the distribute message (Fig. 2b/c, with the
+/// extension primitive performed inside the multiply's index map).
+pub const MESSAGE_TASKS_PER_EDGE: usize = 6;
 
 impl TaskGraph {
     /// Builds the task dependency graph for two-phase evidence propagation
     /// over `shape`, following §5.2: the clique updating graph (collect
     /// phase depending on children, distribute phase on the parent),
     /// refined by the per-edge local task chains
-    /// `Marginalize → Divide → Extend → Multiply`. Multiplications into
-    /// the same clique are serialized (they share a destination table);
-    /// everything else runs as parallel as the tree allows.
+    /// `Marginalize → Divide → Multiply`. The paper's extension
+    /// primitive runs inside each multiply: it projects every clique
+    /// entry onto the separator ratio through the interned extension
+    /// plan, so no clique-sized extended table is ever materialized.
+    /// Multiplications into the same clique are serialized (they share
+    /// a destination table); everything else runs as parallel as the
+    /// tree allows.
     ///
     /// A single-clique tree yields an empty graph — propagation is a
     /// no-op.
@@ -54,7 +59,7 @@ impl TaskGraph {
             tasks: Vec::with_capacity(MESSAGE_TASKS_PER_EDGE * n.saturating_sub(1)),
             succ: Vec::new(),
             pred_count: Vec::new(),
-            buffers: Vec::with_capacity(n * 8),
+            buffers: Vec::with_capacity(n * 6),
             clique_buffers: Vec::with_capacity(n),
             edge_buffers: vec![None; n],
             plans: PlanCache::new(),
@@ -69,41 +74,26 @@ impl TaskGraph {
             g.clique_buffers.push(b);
         }
 
-        // per-edge scratch buffers
+        // per-edge separator-sized scratch buffers
         let mut edge_bufs: Vec<Option<EdgeBuffers>> = vec![None; n];
         for c in (0..n).map(CliqueId) {
-            let Some(p) = shape.parent(c) else { continue };
+            if shape.parent(c).is_none() {
+                continue;
+            }
             let sep = shape.parent_separator(c).clone();
+            let mut sep_buffer = |init| {
+                g.push_buffer(BufferSpec {
+                    domain: sep.clone(),
+                    init,
+                })
+            };
             let eb = EdgeBuffers {
-                sep_old: g.push_buffer(BufferSpec {
-                    domain: sep.clone(),
-                    init: BufferInit::Ones,
-                }),
-                sep_up: g.push_buffer(BufferSpec {
-                    domain: sep.clone(),
-                    init: BufferInit::Zeros,
-                }),
-                ratio_up: g.push_buffer(BufferSpec {
-                    domain: sep.clone(),
-                    init: BufferInit::Zeros,
-                }),
-                ext_up: g.push_buffer(BufferSpec {
-                    domain: shape.domain(p).clone(),
-                    init: BufferInit::Zeros,
-                }),
+                sep_old: sep_buffer(BufferInit::Ones),
+                sep_up: sep_buffer(BufferInit::Zeros),
+                ratio_up: sep_buffer(BufferInit::Zeros),
                 down: include_distribute.then(|| DownBuffers {
-                    sep_down: g.push_buffer(BufferSpec {
-                        domain: sep.clone(),
-                        init: BufferInit::Zeros,
-                    }),
-                    ratio_down: g.push_buffer(BufferSpec {
-                        domain: sep.clone(),
-                        init: BufferInit::Zeros,
-                    }),
-                    ext_down: g.push_buffer(BufferSpec {
-                        domain: shape.domain(c).clone(),
-                        init: BufferInit::Zeros,
-                    }),
+                    sep_down: sep_buffer(BufferInit::Zeros),
+                    ratio_down: sep_buffer(BufferInit::Zeros),
                 }),
             };
             edge_bufs[c.index()] = Some(eb);
@@ -113,9 +103,8 @@ impl TaskGraph {
         // ---------------- collect phase (postorder) ----------------
         // mul_up_chain[p] = last collect Multiply writing clique p
         let mut mul_up_chain: Vec<Option<TaskId>> = vec![None; n];
-        // mul_up_all[x] = every collect Multiply into clique x (the
+        // mul_up_of[c] = the collect Multiply carrying c's message (the
         // clique-updating-graph "depends on all children" edge set)
-        let mut marg_up_of: Vec<Option<TaskId>> = vec![None; n];
         let mut mul_up_of: Vec<Option<TaskId>> = vec![None; n];
         for &c in &shape.postorder() {
             let Some(p) = shape.parent(c) else { continue };
@@ -126,20 +115,16 @@ impl TaskGraph {
             let parent_dom = shape.domain(p);
 
             // Compile-once index maps for this edge's collect chain.
-            // Extension and the distribute-phase marginalization of the
-            // reverse message share these interned plans.
+            // The distribute chain of the same edge uses the same two
+            // (clique, separator) maps with the roles swapped.
             let marg_plan = g
                 .plans
                 .intern(clique_dom, sep_dom, EntryRange::full(clique_dom.size()))
                 .expect("separator domain nests in clique domain");
-            let ext_plan = g
+            let mul_plan = g
                 .plans
                 .intern(parent_dom, sep_dom, EntryRange::full(parent_dom.size()))
                 .expect("separator domain nests in parent domain");
-            let mul_plan = g
-                .plans
-                .intern(parent_dom, parent_dom, EntryRange::full(parent_dom.size()))
-                .expect("a domain nests in itself");
 
             let marg = g.push_task(
                 Task {
@@ -163,7 +148,6 @@ impl TaskGraph {
                     .map(|ch| mul_up_of[ch.index()].expect("children processed first"))
                     .collect(),
             );
-            marg_up_of[c.index()] = Some(marg);
 
             let div = g.push_task(
                 Task {
@@ -180,29 +164,16 @@ impl TaskGraph {
                 vec![marg],
             );
 
-            let ext = g.push_task(
-                Task {
-                    kind: TaskKind::Extend {
-                        src: eb.ratio_up,
-                        dst: eb.ext_up,
-                    },
-                    weight: parent_dom.size() as u64,
-                    phase: Phase::Collect,
-                    clique: p,
-                    plan: Some(ext_plan),
-                },
-                vec![div],
-            );
-
-            // serialize with the previous multiply into the parent
-            let mut deps = vec![ext];
+            // extend-and-multiply the ratio into the parent, serialized
+            // with the previous multiply into the parent
+            let mut deps = vec![div];
             if let Some(prev) = mul_up_chain[p.index()] {
                 deps.push(prev);
             }
             let mul = g.push_task(
                 Task {
                     kind: TaskKind::Multiply {
-                        src: eb.ext_up,
+                        src: eb.ratio_up,
                         dst: g.clique_buffers[p.index()],
                     },
                     weight: parent_dom.size() as u64,
@@ -233,20 +204,15 @@ impl TaskGraph {
             let parent_dom = shape.domain(p);
 
             // The distribute chain's index maps mirror the collect
-            // chain's, so these interns are structural cache hits
-            // except for the child-side identity multiply.
+            // chain's, so these interns are structural cache hits.
             let marg_plan = g
                 .plans
                 .intern(parent_dom, sep_dom, EntryRange::full(parent_dom.size()))
                 .expect("separator domain nests in parent domain");
-            let ext_plan = g
+            let mul_plan = g
                 .plans
                 .intern(clique_dom, sep_dom, EntryRange::full(clique_dom.size()))
                 .expect("separator domain nests in clique domain");
-            let mul_plan = g
-                .plans
-                .intern(clique_dom, clique_dom, EntryRange::full(clique_dom.size()))
-                .expect("a domain nests in itself");
 
             // The parent is fully updated once (a) its last collect
             // multiply finished — `mul_up_chain[p]` transitively orders
@@ -290,20 +256,6 @@ impl TaskGraph {
                 vec![marg],
             );
 
-            let ext = g.push_task(
-                Task {
-                    kind: TaskKind::Extend {
-                        src: down.ratio_down,
-                        dst: down.ext_down,
-                    },
-                    weight: clique_dom.size() as u64,
-                    phase: Phase::Distribute,
-                    clique: c,
-                    plan: Some(ext_plan),
-                },
-                vec![div],
-            );
-
             // Writes clique c; prior writers (collect multiplies into c)
             // and readers (MARG_up of c) are ordered before this task
             // through the dependency chain — see the crate docs' safety
@@ -311,7 +263,7 @@ impl TaskGraph {
             let mul = g.push_task(
                 Task {
                     kind: TaskKind::Multiply {
-                        src: down.ext_down,
+                        src: down.ratio_down,
                         dst: g.clique_buffers[c.index()],
                     },
                     weight: clique_dom.size() as u64,
@@ -319,7 +271,7 @@ impl TaskGraph {
                     clique: c,
                     plan: Some(mul_plan),
                 },
-                vec![ext],
+                vec![div],
             );
             mul_down_of[c.index()] = Some(mul);
         }
@@ -514,20 +466,20 @@ mod tests {
 
     #[test]
     fn plans_are_structurally_shared() {
-        // 8 tasks per edge, 6 of them planful (2 divides are not), but
-        // the collect marg / distribute ext of an edge share a plan, as
-        // do the collect ext / distribute marg — so a path graph
-        // interns 3-4 distinct plans per edge, not 6.
+        // 6 tasks per edge, 4 of them planful (2 divides are not), but
+        // the collect marg / distribute multiply of an edge share a
+        // plan, as do the collect multiply / distribute marg — so a
+        // path graph interns at most 2 distinct plans per edge, not 4.
         let g = TaskGraph::from_shape(&path(3));
         let planful = g.tasks().iter().filter(|t| t.plan.is_some()).count();
-        assert_eq!(planful, 12);
+        assert_eq!(planful, 8);
         assert!(
-            g.plans().len() < planful,
+            g.plans().len() <= planful / 2,
             "interning should dedup: {} plans for {} planful tasks",
             g.plans().len(),
             planful
         );
-        // Collect marginalize (clique→sep) and distribute extend
+        // Collect marginalize (clique→sep) and distribute multiply
         // (sep→clique over the same pair) share one interned plan.
         let mut by_prim: Vec<Vec<crate::PlanId>> = vec![Vec::new(); 4];
         for t in g.tasks() {
@@ -536,8 +488,9 @@ mod tests {
             }
         }
         let margs = &by_prim[evprop_potential::PrimitiveKind::Marginalize as usize];
-        let exts = &by_prim[evprop_potential::PrimitiveKind::Extend as usize];
-        assert!(margs.iter().any(|id| exts.contains(id)));
+        let muls = &by_prim[evprop_potential::PrimitiveKind::Multiply as usize];
+        assert!(margs.iter().all(|id| muls.contains(id)));
+        assert!(by_prim[evprop_potential::PrimitiveKind::Extend as usize].is_empty());
     }
 
     #[test]
@@ -565,6 +518,11 @@ mod tests {
             .filter(|b| b.init == BufferInit::Ones)
             .count();
         assert_eq!(n_ones, 2); // one sep_old per edge
+
+        // 3 cliques + 5 separator-sized buffers per edge: the extension
+        // happens inside the multiply, so no scratch is clique-sized
+        assert_eq!(g.buffers().len(), 3 + 2 * 5);
+        assert!(g.buffers()[3..].iter().all(|b| b.domain.size() == 2));
         let n_clique = g
             .buffers()
             .iter()

@@ -68,7 +68,9 @@ pub struct BufferSpec {
 /// The scratch-buffer ids of one junction-tree edge (identified by its
 /// child clique). Recorded at build time so incremental slices
 /// ([`TaskGraph::incremental_slice`]) can re-address the exact buffers
-/// the full graph uses.
+/// the full graph uses. Every edge buffer is separator-sized: the
+/// ratios are multiplied into the receiving clique through the
+/// extension plan, never extended into a clique-sized table.
 #[derive(Clone, Copy, Debug)]
 pub struct EdgeBuffers {
     /// ψ_S — the original separator (initialized to ones; never written
@@ -76,10 +78,8 @@ pub struct EdgeBuffers {
     pub sep_old: BufferId,
     /// ψ*_S — collect-phase marginal of the child clique.
     pub sep_up: BufferId,
-    /// ψ*_S / ψ_S — collect-phase ratio.
+    /// ψ*_S / ψ_S — collect-phase ratio, multiplied into the parent.
     pub ratio_up: BufferId,
-    /// The collect ratio extended over the parent clique's domain.
-    pub ext_up: BufferId,
     /// Distribute-phase buffers; absent in collect-only graphs.
     pub down: Option<DownBuffers>,
 }
@@ -89,10 +89,8 @@ pub struct EdgeBuffers {
 pub struct DownBuffers {
     /// ψ**_S — distribute-phase marginal of the parent clique.
     pub sep_down: BufferId,
-    /// ψ**_S / ψ*_S — distribute-phase ratio.
+    /// ψ**_S / ψ*_S — distribute-phase ratio, multiplied into the child.
     pub ratio_down: BufferId,
-    /// The ratio extended over the child clique's domain.
-    pub ext_down: BufferId,
 }
 
 /// Which algebra the propagation runs in.
@@ -143,17 +141,20 @@ pub enum TaskKind {
         dst: BufferId,
     },
     /// `dst[i] = src[project(i)]`: replicate a separator over a clique
-    /// domain (`src`'s domain ⊆ `dst`'s).
+    /// domain (`src`'s domain ⊆ `dst`'s). The graph builders never emit
+    /// it — [`TaskKind::Multiply`] projects its source itself — but
+    /// every engine still executes it.
     Extend {
         /// Separator-sized source.
         src: BufferId,
         /// Clique-sized destination.
         dst: BufferId,
     },
-    /// `dst[i] *= src[i]` elementwise (identical domains — `src` is the
-    /// extended ratio).
+    /// `dst[i] *= src[project(i)]`: multiply a separator ratio into a
+    /// clique, extending it on the fly (`src`'s domain ⊆ `dst`'s; equal
+    /// domains reduce to an elementwise product).
     Multiply {
-        /// Extended-ratio source.
+        /// Ratio source (separator-sized in built graphs).
         src: BufferId,
         /// Clique potential destination.
         dst: BufferId,

@@ -9,11 +9,15 @@
 //!    collect (each clique depends on its children) and distribute (each
 //!    clique depends on its parent);
 //! 2. each clique update expands into a **local task dependency graph**
-//!    (Fig. 2b/c): `Marginalize → Divide → Extend → Multiply` along every
-//!    edge, with multiplications into the same clique serialized.
+//!    (Fig. 2b/c): `Marginalize → Divide → Multiply` along every edge,
+//!    with multiplications into the same clique serialized. The paper's
+//!    fourth primitive, extension, runs inside each multiply: the
+//!    multiply's interned extension plan projects every clique entry
+//!    onto the separator ratio (`dst[i] *= ratio[project(i)]`), so no
+//!    clique-sized extended table is written and read back.
 //!
-//! Tasks read and write *buffers* (clique potentials, separators, ratio
-//! and extension scratch); the graph carries [`BufferSpec`]s so any
+//! Tasks read and write *buffers* (clique potentials plus separator-sized
+//! marginals and ratios); the graph carries [`BufferSpec`]s so any
 //! engine — real threads or the discrete-event simulator — can allocate
 //! and drive them.
 //!
@@ -22,11 +26,11 @@
 //! ```
 //! use evprop_bayesnet::networks;
 //! use evprop_jtree::JunctionTree;
-//! use evprop_taskgraph::TaskGraph;
+//! use evprop_taskgraph::{TaskGraph, MESSAGE_TASKS_PER_EDGE};
 //!
 //! let jt = JunctionTree::from_network(&networks::asia()).unwrap();
 //! let g = TaskGraph::from_shape(jt.shape());
-//! assert_eq!(g.num_tasks(), 8 * (jt.num_cliques() - 1));
+//! assert_eq!(g.num_tasks(), MESSAGE_TASKS_PER_EDGE * (jt.num_cliques() - 1));
 //! g.validate().unwrap();
 //! ```
 

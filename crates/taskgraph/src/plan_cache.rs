@@ -4,9 +4,8 @@
 //! cross-domain task: two tasks whose (scan-domain, target-domain,
 //! entry-range) triples coincide share one entry. That sharing is
 //! substantial in practice — the collect marginalization out of a
-//! clique, the distribute extension into it and the distribute
-//! multiplication into it all use the same (clique, separator) index
-//! map, as do all replicas of a
+//! clique and the distribute multiplication into it use the same
+//! (clique, separator) index map, as do all replicas of a
 //! [`replicate`](crate::TaskGraph::replicate)d graph.
 //!
 //! Interning only *registers and validates* a shape — `O(width)`.

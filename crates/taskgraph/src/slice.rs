@@ -2,14 +2,15 @@
 //! that an incremental evidence update actually needs to re-run.
 //!
 //! After a full two-phase propagation, the table arena holds every
-//! clique belief, every collect separator `ψ*_S` (`sep_up`), every
-//! extended collect message (`ext_up`), and every distribute separator
-//! `ψ**_S` (`sep_down`). A later query under slightly different
-//! evidence can reuse most of that state:
+//! clique belief, every collect separator `ψ*_S` (`sep_up`, which is
+//! also the collect message: the full graph divides it by an all-ones
+//! `sep_old`, so `ratio_up` equals it bitwise), and every distribute
+//! separator `ψ**_S` (`sep_down`). A later query under slightly
+//! different evidence can reuse most of that state:
 //!
 //! * a child's collect message depends only on the evidence inside its
 //!   subtree, so messages from *clean* subtrees are still valid and are
-//!   re-multiplied from their cached `ext_up` buffers without
+//!   re-multiplied from their cached `sep_up` buffers without
 //!   recomputation;
 //! * a clique whose belief is calibrated under older evidence can be
 //!   updated Hugin-style by multiplying in the *ratio* of the new to
@@ -150,13 +151,14 @@ impl TaskGraph {
     /// graph's interned plans.
     ///
     /// The collect part walks `plan.recollect` in postorder: for each
-    /// flagged clique, dirty children's messages are recomputed
-    /// (marginalize → extend, the divide skipped because `sep_old` is
-    /// all-ones) and every child's `ext_up` — cached or fresh — is
-    /// multiplied back in, in children order. The distribute part walks
-    /// `plan.path` from the root outward, emitting the standard chain
-    /// for [`EdgeUpdate::Fresh`] edges and the division-against-stored-
-    /// `sep_down` chain for [`EdgeUpdate::Stale`] edges.
+    /// flagged clique, dirty children's messages are recomputed (a
+    /// marginalize, the divide skipped because `sep_old` is all-ones)
+    /// and every child's `sep_up` — cached or fresh — is multiplied
+    /// back in through the extension plan, in children order. The
+    /// distribute part walks `plan.path` from the root outward,
+    /// emitting the standard chain for [`EdgeUpdate::Fresh`] edges and
+    /// the division-against-stored-`sep_down` chain for
+    /// [`EdgeUpdate::Stale`] edges.
     ///
     /// # Panics
     ///
@@ -236,8 +238,8 @@ impl TaskGraph {
                     // Dirty child: recompute its message. The divide
                     // against sep_old is skipped — sep_old is all-ones
                     // in the resident arena, so ratio_up ≡ sep_up and
-                    // extending sep_up directly produces the exact
-                    // full-graph ext_up value.
+                    // multiplying sep_up directly reproduces the
+                    // full-graph product bit for bit.
                     let marg_plan = g
                         .plans
                         .intern(clique_dom, sep_dom, EntryRange::full(clique_dom.size()))
@@ -256,36 +258,19 @@ impl TaskGraph {
                             plan: Some(marg_plan),
                         },
                     );
-                    let ext_plan = g
-                        .plans
-                        .intern(parent_dom, sep_dom, EntryRange::full(parent_dom.size()))
-                        .expect("separator domain nests in parent domain");
-                    hz.emit(
-                        g,
-                        Task {
-                            kind: TaskKind::Extend {
-                                src: eb.sep_up,
-                                dst: eb.ext_up,
-                            },
-                            weight: parent_dom.size() as u64,
-                            phase: Phase::Collect,
-                            clique: c,
-                            plan: Some(ext_plan),
-                        },
-                    );
                 }
                 // Every child's message — cached or fresh — multiplies
                 // back into the re-initialized parent, in children
                 // order (matching the full graph's serialization).
                 let mul_plan = g
                     .plans
-                    .intern(parent_dom, parent_dom, EntryRange::full(parent_dom.size()))
-                    .expect("a domain nests in itself");
+                    .intern(parent_dom, sep_dom, EntryRange::full(parent_dom.size()))
+                    .expect("separator domain nests in parent domain");
                 hz.emit(
                     g,
                     Task {
                         kind: TaskKind::Multiply {
-                            src: eb.ext_up,
+                            src: eb.sep_up,
                             dst: self.clique_buffers[c.index()],
                         },
                         weight: parent_dom.size() as u64,
@@ -313,14 +298,10 @@ impl TaskGraph {
                 .plans
                 .intern(parent_dom, sep_dom, EntryRange::full(parent_dom.size()))
                 .expect("separator domain nests in parent domain");
-            let ext_plan = g
+            let mul_plan = g
                 .plans
                 .intern(clique_dom, sep_dom, EntryRange::full(clique_dom.size()))
                 .expect("separator domain nests in clique domain");
-            let mul_plan = g
-                .plans
-                .intern(clique_dom, clique_dom, EntryRange::full(clique_dom.size()))
-                .expect("a domain nests in itself");
             let marg = |dst: BufferId| Task {
                 kind: TaskKind::Marginalize {
                     src: self.clique_buffers[p.index()],
@@ -367,21 +348,8 @@ impl TaskGraph {
             hz.emit(
                 g,
                 Task {
-                    kind: TaskKind::Extend {
-                        src: down.ratio_down,
-                        dst: down.ext_down,
-                    },
-                    weight: clique_dom.size() as u64,
-                    phase: Phase::Distribute,
-                    clique: ch,
-                    plan: Some(ext_plan),
-                },
-            );
-            hz.emit(
-                g,
-                Task {
                     kind: TaskKind::Multiply {
-                        src: down.ext_down,
+                        src: down.ratio_down,
                         dst: self.clique_buffers[ch.index()],
                     },
                     weight: clique_dom.size() as u64,
@@ -447,7 +415,7 @@ mod tests {
         let shape = path4();
         let full = TaskGraph::from_shape(&shape);
         // only the root re-collects: its single child C1 is clean, so
-        // the slice is one multiply from the cached ext_up
+        // the slice is one multiply from the cached sep_up
         let plan = SlicePlan {
             recollect: vec![true, false, false, false],
             path: vec![],
@@ -473,8 +441,8 @@ mod tests {
         };
         assert_eq!(plan.stale_edges(), 1);
         let slice = full.incremental_slice(&shape, &plan);
-        // Marg(μ_new) + Div + Marg(persist) + Ext + Mul, skip emits none
-        assert_eq!(slice.num_tasks(), 5);
+        // Marg(μ_new) + Div + Marg(persist) + Mul, skip emits none
+        assert_eq!(slice.num_tasks(), 4);
         slice.validate().unwrap();
         // the divide reads sep_down before the persisting marg rewrites it
         let order = slice.topological_order().unwrap();

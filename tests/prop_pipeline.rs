@@ -6,7 +6,7 @@ use evprop::bayesnet::{random_network, JointDistribution, RandomNetworkConfig};
 use evprop::core::{CollaborativeEngine, Engine, InferenceSession, SequentialEngine};
 use evprop::potential::{EvidenceSet, VarId};
 use evprop::sched::SchedulerConfig;
-use evprop::taskgraph::TaskGraph;
+use evprop::taskgraph::{TaskGraph, MESSAGE_TASKS_PER_EDGE};
 use evprop::workloads::{materialize, random_tree, TreeParams};
 use proptest::prelude::*;
 
@@ -84,7 +84,7 @@ proptest! {
     ) {
         let shape = random_tree(&TreeParams::new(n, w, 2, k).with_seed(seed));
         let g = TaskGraph::from_shape(&shape);
-        prop_assert_eq!(g.num_tasks(), 8 * (n - 1));
+        prop_assert_eq!(g.num_tasks(), MESSAGE_TASKS_PER_EDGE * (n - 1));
         g.validate().expect("valid graph");
         prop_assert!(g.critical_path_weight() <= g.total_weight());
         // every task is reachable: topological order covers all
