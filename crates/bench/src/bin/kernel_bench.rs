@@ -1,6 +1,5 @@
 //! Kernel micro-benchmark: compiled [`KernelPlan`] interpretation vs
-//! the per-call [`AxisWalker`](evprop_potential::AxisWalker) kernels,
-//! swept over every available SIMD kernel backend.
+//! the per-call [`AxisWalker`](evprop_potential::AxisWalker) kernels.
 //!
 //! For synthetic binary cliques of width 2..=20 (table sizes 4..1M), a
 //! separator of half the variables, and partition grains
@@ -13,32 +12,20 @@
 //! * **walker** — the `*_walker` kernels, which re-derive the
 //!   mixed-radix index map on every call.
 //!
-//! Every cell is measured once per available
-//! [`KernelBackend`](evprop_potential::KernelBackend) (scalar always,
-//! SSE2/AVX2 where the CPU supports them) — every backend computes
-//! bit-identical tables, so the per-backend rows differ only in time.
-//! The backends run back-to-back *within* each cell (not as separate
-//! whole-sweep passes), so slow clock/thermal drift over the run
-//! cancels out of the cross-backend ratios.
-//!
 //! Two separator layouts exercise both plan kinds: `low` keeps the
 //! leading variables (trailing scan axes absent → `Broadcast` blocks)
 //! and `high` keeps the trailing variables (`Contig` runs).
 //!
 //! Prints a CSV-ish summary, writes `BENCH_kernels.json`, and reports
-//! two headlines for EXPERIMENTS.md: the planned-vs-walker geometric-
-//! mean speedup over wide cliques (width ≥ 16, auto-detected backend)
-//! and the SIMD-vs-scalar geomean over the wide cliques' long-segment
-//! cells (width ≥ 16, δ ≥ 4096, `extend` excluded — see
-//! [`simd_vs_scalar`] for how the finer grains behave and why they
-//! are reported but not aggregated).
+//! one headline: the planned-vs-walker geometric-mean speedup over
+//! every cell, plus the same geomean per primitive.
 //!
 //! ```sh
 //! cargo run -p evprop-bench --release --bin kernel_bench
 //! ```
 
-use evprop_potential::{plan, raw, simd};
-use evprop_potential::{Domain, EntryRange, KernelBackend, KernelPlan, VarId, Variable};
+use evprop_potential::{plan, raw};
+use evprop_potential::{Domain, EntryRange, KernelPlan, VarId, Variable};
 use rand::{Rng, SeedableRng};
 use std::hint::black_box;
 use std::time::Instant;
@@ -50,15 +37,6 @@ const DELTAS: [usize; 3] = [1, 64, 4096];
 /// Rough entry-operation budget per timed side; reps are derived from
 /// it so small and large tables measure comparable wall time.
 const TARGET_OPS: usize = 1 << 21;
-/// Width at and above which the headline ratios are aggregated.
-const HEADLINE_WIDTH: usize = 16;
-/// Grain at which the SIMD-vs-scalar headline is aggregated: the
-/// coarsest grain in the sweep, where segments are long enough that
-/// per-segment loop entry and horizontal-reduction overheads vanish
-/// and the cell measures pure kernel throughput (δ = 1 measures
-/// per-call overhead — and takes the small-`n` scalar shortcut
-/// anyway; δ = 64 still pays one horizontal combine per 64 entries).
-const HEADLINE_DELTA: usize = 4096;
 
 const PRIMS: [&str; 5] = ["marg_sum", "marg_max", "extend", "multiply", "divide"];
 
@@ -67,7 +45,6 @@ fn binary_domain(ids: impl Iterator<Item = u32>) -> Domain {
 }
 
 struct Cell {
-    backend: &'static str,
     width: usize,
     layout: &'static str,
     delta: usize,
@@ -106,12 +83,7 @@ fn time_ns_per_op(reps: usize, ops_per_pass: usize, mut pass: impl FnMut()) -> f
 }
 
 #[allow(clippy::too_many_lines)]
-fn bench_cells(
-    backends: &[KernelBackend],
-    width: usize,
-    layout: &'static str,
-    out: &mut Vec<Cell>,
-) {
+fn bench_cells(width: usize, layout: &'static str, out: &mut Vec<Cell>) {
     let clique = binary_domain(0..width as u32);
     let sep = match layout {
         "low" => binary_domain(0..(width / 2) as u32),
@@ -147,184 +119,122 @@ fn bench_cells(
             .collect();
 
         for prim in PRIMS {
-            for &be in backends {
-                simd::set_active(be).expect("available backend installs");
-                let backend = be.name();
-                let planned = match prim {
-                    "marg_sum" => time_ns_per_op(reps, size, || {
-                        dst.fill(0.0);
-                        for p in &plans {
-                            p.marginalize_sum_into(&src, &mut dst).unwrap();
-                        }
-                        black_box(&dst);
-                    }),
-                    "marg_max" => time_ns_per_op(reps, size, || {
-                        dst.fill(0.0);
-                        for p in &plans {
-                            p.marginalize_max_into(&src, &mut dst).unwrap();
-                        }
-                        black_box(&dst);
-                    }),
-                    "extend" => time_ns_per_op(reps, size, || {
-                        for (p, r) in plans.iter().zip(&ranges) {
-                            p.extend_into(&sep_t, &mut big[r.start..r.end]).unwrap();
-                        }
-                        black_box(&big);
-                    }),
-                    "divide" => time_ns_per_op(reps, size, || {
-                        for &r in &ranges {
-                            plan::divide_planned(&src, &den, r, &mut big[r.start..r.end]).unwrap();
-                        }
-                        black_box(&big);
-                    }),
-                    // `multiply_into` is read-modify-write, so `big` must be
-                    // reset every pass: left to decay (`big *= sep` repeatedly)
-                    // the values cross the denormal range — where every
-                    // multiply is microcoded — before flushing to zero, and
-                    // *when* that transient lands (which block, which
-                    // backend's turn) depends on reps and run order, making
-                    // the timing state-dependent. The fill also mirrors the
-                    // serving path, which does `reset_ones` before its
-                    // multiply.
-                    _ => time_ns_per_op(reps, size, || {
-                        big.fill(1.0);
-                        for (p, r) in plans.iter().zip(&ranges) {
-                            p.multiply_into(&sep_t, &mut big[r.start..r.end]).unwrap();
-                        }
-                        black_box(&big);
-                    }),
-                };
-                let walker = match prim {
-                    "marg_sum" => time_ns_per_op(reps, size, || {
-                        dst.fill(0.0);
-                        for &r in &ranges {
-                            raw::marginalize_range_into_walker(&clique, &src, r, &sep, &mut dst)
-                                .unwrap();
-                        }
-                        black_box(&dst);
-                    }),
-                    "marg_max" => time_ns_per_op(reps, size, || {
-                        dst.fill(0.0);
-                        for &r in &ranges {
-                            raw::max_marginalize_range_into_walker(
-                                &clique, &src, r, &sep, &mut dst,
-                            )
+            let planned = match prim {
+                "marg_sum" => time_ns_per_op(reps, size, || {
+                    dst.fill(0.0);
+                    for p in &plans {
+                        p.marginalize_sum_into(&src, &mut dst).unwrap();
+                    }
+                    black_box(&dst);
+                }),
+                "marg_max" => time_ns_per_op(reps, size, || {
+                    dst.fill(0.0);
+                    for p in &plans {
+                        p.marginalize_max_into(&src, &mut dst).unwrap();
+                    }
+                    black_box(&dst);
+                }),
+                "extend" => time_ns_per_op(reps, size, || {
+                    for (p, r) in plans.iter().zip(&ranges) {
+                        p.extend_into(&sep_t, &mut big[r.start..r.end]).unwrap();
+                    }
+                    black_box(&big);
+                }),
+                "divide" => time_ns_per_op(reps, size, || {
+                    for &r in &ranges {
+                        plan::divide_planned(&src, &den, r, &mut big[r.start..r.end]).unwrap();
+                    }
+                    black_box(&big);
+                }),
+                // `multiply_into` is read-modify-write, so `big` must be
+                // reset every pass: left to decay (`big *= sep` repeatedly)
+                // the values cross the denormal range — where every
+                // multiply is microcoded — before flushing to zero, and
+                // *when* that transient lands (which block) depends on
+                // reps and run order, making
+                // the timing state-dependent. The fill also mirrors the
+                // serving path, which does `reset_ones` before its
+                // multiply.
+                _ => time_ns_per_op(reps, size, || {
+                    big.fill(1.0);
+                    for (p, r) in plans.iter().zip(&ranges) {
+                        p.multiply_into(&sep_t, &mut big[r.start..r.end]).unwrap();
+                    }
+                    black_box(&big);
+                }),
+            };
+            let walker = match prim {
+                "marg_sum" => time_ns_per_op(reps, size, || {
+                    dst.fill(0.0);
+                    for &r in &ranges {
+                        raw::marginalize_range_into_walker(&clique, &src, r, &sep, &mut dst)
                             .unwrap();
-                        }
-                        black_box(&dst);
-                    }),
-                    "divide" => time_ns_per_op(reps, size, || {
-                        for &r in &ranges {
-                            raw::divide_range_into(&src, &den, r, &mut big[r.start..r.end])
-                                .unwrap();
-                        }
-                        black_box(&big);
-                    }),
-                    "extend" => time_ns_per_op(reps, size, || {
-                        for &r in &ranges {
-                            raw::extend_range_into_walker(
-                                &sep,
-                                &sep_t,
-                                &clique,
-                                r,
-                                &mut big[r.start..r.end],
-                            )
+                    }
+                    black_box(&dst);
+                }),
+                "marg_max" => time_ns_per_op(reps, size, || {
+                    dst.fill(0.0);
+                    for &r in &ranges {
+                        raw::max_marginalize_range_into_walker(&clique, &src, r, &sep, &mut dst)
                             .unwrap();
-                        }
-                        black_box(&big);
-                    }),
-                    // Same per-pass reset as the planned side (see above).
-                    _ => time_ns_per_op(reps, size, || {
-                        big.fill(1.0);
-                        for &r in &ranges {
-                            raw::multiply_range_into_walker(
-                                &sep,
-                                &sep_t,
-                                &clique,
-                                r,
-                                &mut big[r.start..r.end],
-                            )
-                            .unwrap();
-                        }
-                        black_box(&big);
-                    }),
-                };
-                let cell = Cell {
-                    backend,
-                    width,
-                    layout,
-                    delta,
-                    prim,
-                    planned_ns_per_op: planned,
-                    walker_ns_per_op: walker,
-                };
-                println!(
-                    "{backend},{width},{layout},{delta},{prim},{planned:.3},{walker:.3},{:.2}",
-                    cell.ratio()
-                );
-                out.push(cell);
-            }
+                    }
+                    black_box(&dst);
+                }),
+                "divide" => time_ns_per_op(reps, size, || {
+                    for &r in &ranges {
+                        raw::divide_range_into(&src, &den, r, &mut big[r.start..r.end]).unwrap();
+                    }
+                    black_box(&big);
+                }),
+                "extend" => time_ns_per_op(reps, size, || {
+                    for &r in &ranges {
+                        raw::extend_range_into_walker(
+                            &sep,
+                            &sep_t,
+                            &clique,
+                            r,
+                            &mut big[r.start..r.end],
+                        )
+                        .unwrap();
+                    }
+                    black_box(&big);
+                }),
+                // Same per-pass reset as the planned side (see above).
+                _ => time_ns_per_op(reps, size, || {
+                    big.fill(1.0);
+                    for &r in &ranges {
+                        raw::multiply_range_into_walker(
+                            &sep,
+                            &sep_t,
+                            &clique,
+                            r,
+                            &mut big[r.start..r.end],
+                        )
+                        .unwrap();
+                    }
+                    black_box(&big);
+                }),
+            };
+            let cell = Cell {
+                width,
+                layout,
+                delta,
+                prim,
+                planned_ns_per_op: planned,
+                walker_ns_per_op: walker,
+            };
+            println!(
+                "{width},{layout},{delta},{prim},{planned:.3},{walker:.3},{:.2}",
+                cell.ratio()
+            );
+            out.push(cell);
         }
     }
 }
 
-/// Geomean of `scalar planned ns / simd planned ns` over the wide
-/// tables' long-segment cells (width ≥ [`HEADLINE_WIDTH`],
-/// δ ≥ [`HEADLINE_DELTA`]) — the acceptance headline for the SIMD
-/// kernels: segments long enough that the vector loop, the thing the
-/// backends actually change, is all a cell measures.
-///
-/// At finer grains the contrast is diluted by costs that are
-/// backend-invariant by construction, so those cells are reported (in
-/// `cells`) but not aggregated: δ = 1 plans dispatch per entry and
-/// take the small-`n` scalar shortcut (ratio ≈ 1), and δ = 64 pays a
-/// horizontal combine per 64 entries while the canonical 4-lane sum
-/// order caps both backends at one add-chain element per cycle
-/// (geomean there ≈ 1.27 on this host, dragged by the
-/// bandwidth-bound streaming ops — see EXPERIMENTS.md).
-///
-/// `extend` is excluded: its planned path is `copy_from_slice`/`fill`
-/// on every backend (memcpy/memset — there is nothing to dispatch), so
-/// its rows would only fold measurement noise centered on 1.0 into a
-/// ratio that is 1.0 by construction.
-fn simd_vs_scalar(cells: &[Cell], simd: &str) -> f64 {
-    let ratios: Vec<f64> = cells
-        .iter()
-        .filter(|c| {
-            c.backend == simd
-                && c.prim != "extend"
-                && c.width >= HEADLINE_WIDTH
-                && c.delta >= HEADLINE_DELTA
-        })
-        .filter_map(|c| {
-            cells
-                .iter()
-                .find(|s| {
-                    s.backend == "scalar"
-                        && (s.width, s.layout, s.delta, s.prim)
-                            == (c.width, c.layout, c.delta, c.prim)
-                })
-                .map(|s| s.planned_ns_per_op / c.planned_ns_per_op.max(1e-12))
-        })
-        .collect();
-    geomean(&ratios)
-}
-
 fn main() {
-    let backends = KernelBackend::available();
-    let auto = KernelBackend::detect();
     println!("# planned vs walker kernels (binary cliques, separator = half the vars)");
-    println!(
-        "# backends: {} (auto-detected: {})",
-        backends
-            .iter()
-            .map(|b| b.name())
-            .collect::<Vec<_>>()
-            .join(" "),
-        auto.name()
-    );
     evprop_bench::header(&[
-        "backend",
         "width",
         "layout",
         "delta",
@@ -337,44 +247,39 @@ fn main() {
     let mut cells = Vec::new();
     for &w in &WIDTHS {
         for layout in ["low", "high"] {
-            bench_cells(&backends, w, layout, &mut cells);
+            bench_cells(w, layout, &mut cells);
         }
     }
-    simd::set_active(auto).expect("detected backend installs");
 
-    let wide: Vec<f64> = cells
+    let all: Vec<f64> = cells.iter().map(Cell::ratio).collect();
+    let headline = geomean(&all);
+    println!(
+        "# headline: planned is {headline:.2}x the walker path (geomean over all {} cells)",
+        cells.len()
+    );
+    let per_prim: Vec<String> = PRIMS
         .iter()
-        .filter(|c| c.backend == auto.name() && c.width >= HEADLINE_WIDTH)
-        .map(Cell::ratio)
+        .map(|&prim| {
+            let ratios: Vec<f64> = cells
+                .iter()
+                .filter(|c| c.prim == prim)
+                .map(Cell::ratio)
+                .collect();
+            let g = geomean(&ratios);
+            println!("# {prim}: planned is {g:.2}x the walker path (geomean)");
+            format!("\"{prim}\": {g:.3}")
+        })
         .collect();
-    let headline = geomean(&wide);
-    println!(
-        "# headline: planned is {headline:.2}x the walker path \
-         (geomean, width >= {HEADLINE_WIDTH}, backend {})",
-        auto.name()
-    );
-
-    let simd_headline = if auto == KernelBackend::Scalar {
-        1.0
-    } else {
-        simd_vs_scalar(&cells, auto.name())
-    };
-    println!(
-        "# headline: {} planned kernels are {simd_headline:.2}x scalar \
-         (geomean, width >= {HEADLINE_WIDTH}, delta >= {HEADLINE_DELTA}, extend excluded)",
-        auto.name()
-    );
 
     let json_cells: Vec<String> = cells
         .iter()
         .map(|c| {
             format!(
                 concat!(
-                    "    {{\"backend\": \"{}\", \"width\": {}, \"layout\": \"{}\", ",
+                    "    {{\"width\": {}, \"layout\": \"{}\", ",
                     "\"delta\": {}, \"primitive\": \"{}\", \"planned_ns_per_op\": {:.4}, ",
                     "\"walker_ns_per_op\": {:.4}, \"speedup\": {:.3}}}"
                 ),
-                c.backend,
                 c.width,
                 c.layout,
                 c.delta,
@@ -389,25 +294,13 @@ fn main() {
         concat!(
             "{{\n  \"benchmark\": \"kernel_bench\",\n",
             "  \"target_ops_per_side\": {},\n",
-            "  \"backends\": [{}],\n",
-            "  \"auto_backend\": \"{}\",\n",
-            "  \"headline_width\": {},\n",
-            "  \"headline_delta\": {},\n",
             "  \"headline_speedup_geomean\": {:.3},\n",
-            "  \"simd_vs_scalar_geomean\": {:.3},\n",
+            "  \"speedup_geomean_by_primitive\": {{{}}},\n",
             "  \"cells\": [\n{}\n  ]\n}}\n"
         ),
         TARGET_OPS,
-        backends
-            .iter()
-            .map(|b| format!("\"{}\"", b.name()))
-            .collect::<Vec<_>>()
-            .join(", "),
-        auto.name(),
-        HEADLINE_WIDTH,
-        HEADLINE_DELTA,
         headline,
-        simd_headline,
+        per_prim.join(", "),
         json_cells.join(",\n")
     );
     std::fs::write("BENCH_kernels.json", &json).expect("write BENCH_kernels.json");

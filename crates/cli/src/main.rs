@@ -5,7 +5,7 @@
 //! evprop query <file.bif> --target VAR [--evidence VAR=STATE]... [--engine E] [--threads N]
 //! evprop mpe <file.bif> [--evidence VAR=STATE]... [--engine E] [--threads N]
 //! evprop export <sprinkler|asia|student>
-//! evprop serve <file.bif> --queries N [--threads P] [--seed S] [--spawn-per-query]
+//! evprop serve <file.bif> --queries N [--threads P] [--seed S]
 //! evprop serve <file.bif> --listen ADDR [--shards K] [--threads-per-shard M] [--model NAME=PATH]... [--model-budget-mb MB]
 //! evprop session-bench <file.bif> [--steps N] [--threads P] [--seed S]
 //! evprop simulate --cliques N --width W --states R --degree K [--cores P]...
@@ -30,19 +30,14 @@ const USAGE: &str = "usage:
   evprop mpe <file.bif> [--evidence VAR=STATE]... [--engine seq|collab|pooled|openmp|dp] [--threads N]
   evprop export <sprinkler|asia|student>
   evprop dot <file.bif> [--tasks]
-  evprop serve <file.bif> --queries N [--threads P] [--seed S] [--spawn-per-query]
+  evprop serve <file.bif> --queries N [--threads P] [--seed S]
   evprop serve <file.bif> --listen ADDR [--shards K] [--threads-per-shard M] [--queue-depth D] [--batch B] [--model NAME=PATH]... [--model-budget-mb MB]
       [--drain-timeout-ms MS] [--max-conns N] [--max-line-bytes B] [--idle-timeout-ms MS]
   evprop session-bench <file.bif> [--steps N] [--threads P] [--seed S]
   evprop trace <file.bif> [--out FILE] [--threads P] [--delta D] [--runs N] [--stealing]
   evprop trace --random [--cliques N] [--width W] [--states R] [--degree K] [--seed S] [--out FILE] ...
   evprop trace-validate <trace.json>
-  evprop simulate --cliques N --width W --states R --degree K [--cores P]... [--policy collab|openmp|dp|pnl] [--gantt]
-
-global flags (any command):
-  --kernel-backend scalar|sse2|avx2|portable|auto
-      SIMD backend for the table kernels (default: auto-detect, or the
-      EVPROP_KERNEL_BACKEND env var); all backends are bit-identical";
+  evprop simulate --cliques N --width W --states R --degree K [--cores P]... [--policy collab|openmp|dp|pnl] [--gantt]";
 
 fn main() -> ExitCode {
     // Exit quietly when stdout is closed early (`evprop query … | head`):
@@ -74,8 +69,6 @@ fn main() -> ExitCode {
 }
 
 fn run(args: &[String]) -> Result<(), String> {
-    let args = apply_kernel_backend(args)?;
-    let args = &args[..];
     match args.first().map(String::as_str) {
         Some("info") => cmd_info(&args[1..]),
         Some("query") => cmd_query(&args[1..]),
@@ -93,40 +86,6 @@ fn run(args: &[String]) -> Result<(), String> {
         }
         Some(other) => Err(format!("unknown command '{other}'")),
     }
-}
-
-/// Strips a global `--kernel-backend NAME` flag (accepted anywhere on
-/// the command line, before or after the subcommand), installs the
-/// named SIMD backend process-wide, and returns the remaining
-/// arguments. `auto` re-runs CPU detection explicitly; every backend
-/// computes bit-identical tables, so the flag only affects speed.
-fn apply_kernel_backend(args: &[String]) -> Result<Vec<String>, String> {
-    use evprop_potential::simd;
-    let mut rest = Vec::with_capacity(args.len());
-    let mut chosen = None;
-    let mut i = 0;
-    while i < args.len() {
-        if args[i] == "--kernel-backend" {
-            let name = args
-                .get(i + 1)
-                .ok_or("--kernel-backend needs scalar|sse2|avx2|portable|auto".to_string())?;
-            chosen = Some(name.clone());
-            i += 2;
-        } else {
-            rest.push(args[i].clone());
-            i += 1;
-        }
-    }
-    if let Some(name) = chosen {
-        let be = if name == "auto" {
-            evprop_potential::KernelBackend::detect()
-        } else {
-            evprop_potential::KernelBackend::parse(&name)
-                .ok_or_else(|| format!("unknown kernel backend '{name}'"))?
-        };
-        simd::set_active(be).map_err(|e| e.to_string())?;
-    }
-    Ok(rest)
 }
 
 fn load(path: &str) -> Result<BifNetwork, String> {
@@ -352,10 +311,8 @@ fn random_queries(net: &evprop_bayesnet::BayesianNetwork, n: usize, seed: u64) -
 }
 
 /// Serve-style batch inference: compile the network once, then answer a
-/// stream of randomized queries. The default path holds the session's
-/// resident [`PooledEngine`]; `--spawn-per-query` runs the same stream
-/// on a [`CollaborativeEngine`] that spawns and joins its worker
-/// threads for every query — the baseline the pool exists to beat.
+/// stream of randomized queries on the session's resident
+/// [`PooledEngine`].
 fn cmd_serve(args: &[String]) -> Result<(), String> {
     let path = args.first().ok_or("serve needs a file".to_string())?;
     let bif = load(path)?;
@@ -378,42 +335,28 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
         Some(s) => s.parse::<u64>().map_err(|_| format!("bad seed '{s}'"))?,
         None => 0xC0FFEE,
     };
-    let spawn_per_query = args.iter().any(|a| a == "--spawn-per-query");
 
     let session = InferenceSession::from_network(&bif.network).map_err(|e| e.to_string())?;
     let batch = random_queries(&bif.network, queries, seed);
 
     let start = std::time::Instant::now();
-    let mode = if spawn_per_query {
-        let engine = CollaborativeEngine::with_threads(threads);
-        for q in &batch {
-            session
-                .posterior(&engine, q.target, &q.evidence)
-                .map_err(|e| e.to_string())?;
-        }
-        "spawn-per-query"
-    } else {
-        session.pooled_engine_with(evprop_sched::SchedulerConfig::with_threads(threads));
-        session.posterior_batch(&batch).map_err(|e| e.to_string())?;
-        "pooled"
-    };
+    session.pooled_engine_with(evprop_sched::SchedulerConfig::with_threads(threads));
+    session.posterior_batch(&batch).map_err(|e| e.to_string())?;
     let elapsed = start.elapsed();
     let qps = batch.len() as f64 / elapsed.as_secs_f64().max(1e-12);
     println!(
-        "served {} queries [{mode}, {threads} threads] in {:.3} s ({:.0} queries/s)",
+        "served {} queries [pooled, {threads} threads] in {:.3} s ({:.0} queries/s)",
         batch.len(),
         elapsed.as_secs_f64(),
         qps
     );
-    if !spawn_per_query {
-        if let Some(report) = session.pooled_engine().last_report() {
-            println!(
-                "last job: wall {:?}, {} steals, {} tables allocated",
-                report.wall,
-                report.total_steals(),
-                report.total_tables_allocated()
-            );
-        }
+    if let Some(report) = session.pooled_engine().last_report() {
+        println!(
+            "last job: wall {:?}, {} steals, {} tables allocated",
+            report.wall,
+            report.total_steals(),
+            report.total_tables_allocated()
+        );
     }
     Ok(())
 }
@@ -1048,18 +991,9 @@ mod tests {
     }
 
     #[test]
-    fn serve_runs_pooled_and_spawned() {
+    fn serve_runs_pooled() {
         let f = asia_file();
         cmd_serve(&s(&[&f, "--queries", "8", "--threads", "2", "--seed", "7"])).unwrap();
-        cmd_serve(&s(&[
-            &f,
-            "--queries",
-            "4",
-            "--threads",
-            "2",
-            "--spawn-per-query",
-        ]))
-        .unwrap();
         assert!(cmd_serve(&s(&[])).is_err());
         assert!(cmd_serve(&s(&[&f, "--queries", "x"])).is_err());
     }

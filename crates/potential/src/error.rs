@@ -54,12 +54,6 @@ pub enum PotentialError {
         /// Table length.
         len: usize,
     },
-    /// A kernel backend was requested that this build or host CPU
-    /// cannot run (see [`crate::simd::set_active`]).
-    BackendUnavailable {
-        /// The requested backend's name.
-        backend: &'static str,
-    },
 }
 
 impl fmt::Display for PotentialError {
@@ -104,12 +98,6 @@ impl fmt::Display for PotentialError {
                     "entry range {start}..{end} invalid for table of length {len}"
                 )
             }
-            PotentialError::BackendUnavailable { backend } => {
-                write!(
-                    f,
-                    "kernel backend '{backend}' is not available on this host/build"
-                )
-            }
         }
     }
 }
@@ -146,7 +134,6 @@ mod tests {
                 end: 1,
                 len: 8,
             },
-            PotentialError::BackendUnavailable { backend: "avx512" },
         ];
         for e in samples {
             assert!(!format!("{e}").is_empty());

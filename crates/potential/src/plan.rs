@@ -38,21 +38,19 @@
 //!
 //! Plan interpretation performs bit-for-bit the same floating-point
 //! operations in the same order as the walker kernels: both execute
-//! their inner loops through the runtime-dispatched kernels in
-//! [`simd`](crate::simd), and every broadcast reduction follows the
-//! **canonical reduction-tree order** defined by
+//! their inner loops through the slice kernels in [`simd`](crate::simd),
+//! and every broadcast reduction follows the **canonical reduction-tree
+//! order** defined by
 //! [`raw::sum_canonical`](crate::raw::sum_canonical) /
 //! [`raw::fold_max_canonical`](crate::raw::fold_max_canonical) — a
-//! fixed 4-lane tree plus sequential tail, realized identically by the
-//! scalar, SSE2, AVX2 and `portable-simd` backends. The block sum is
-//! accumulated from `0.0` and then added onto the destination slot, so
-//! results are a function of the plan's segment geometry (hence of δ)
-//! but of *nothing else*: not the thread count, not the schedule, not
-//! the chosen backend. The property tests in `tests/prop_plans.rs` and
-//! the unit suite below assert bitwise equality against the walker path
-//! and across kernel backends.
+//! fixed 4-lane tree plus sequential tail. The block sum is accumulated
+//! from `0.0` and then added onto the destination slot, so results are
+//! a function of the plan's segment geometry (hence of δ) but of
+//! *nothing else*: not the thread count, not the schedule. The property
+//! tests in `tests/prop_plans.rs` and the unit suite below assert
+//! bitwise equality against the walker path.
 
-use crate::simd::{self, KernelBackend};
+use crate::simd;
 use crate::{AxisWalker, Domain, EntryRange, PotentialError, Result};
 
 /// How consecutive scan entries within a block map onto the target.
@@ -249,35 +247,19 @@ impl KernelPlan {
     /// slice) into the full target table `dst` (the caller zeroes `dst`
     /// before the first partial). Contiguous segments do one `+=` per
     /// entry; broadcast segments reduce in the canonical order (see the
-    /// [module docs](self)) and add the block sum onto the slot. Runs
-    /// on the process-wide [`simd::active`] backend.
+    /// [module docs](self)) and add the block sum onto the slot.
     ///
     /// # Errors
     ///
     /// [`PotentialError::DataSizeMismatch`] if `src` is not the scan
     /// table or `dst` not the target table.
     pub fn marginalize_sum_into(&self, src: &[f64], dst: &mut [f64]) -> Result<()> {
-        self.marginalize_sum_into_on(simd::active(), src, dst)
-    }
-
-    /// [`marginalize_sum_into`](Self::marginalize_sum_into) on an
-    /// explicit kernel backend — the differential-testing hook behind
-    /// the cross-backend bit-identity suite. All backends produce
-    /// identical bits, so this is never needed for correctness.
-    pub fn marginalize_sum_into_on(
-        &self,
-        be: KernelBackend,
-        src: &[f64],
-        dst: &mut [f64],
-    ) -> Result<()> {
         self.check_scan(src.len())?;
         self.check_target(dst.len())?;
-        // One fused backend call per plan execution: the segment loop
-        // runs inside the feature-enabled kernel (see `simd`).
         let win = &src[self.range.start..self.range.end];
         match self.kind {
-            PlanKind::Contig => be.marg_sum_contig(&self.segs, win, dst),
-            PlanKind::Broadcast => be.marg_sum_broadcast(&self.segs, win, dst),
+            PlanKind::Contig => simd::marg_sum_contig(&self.segs, win, dst),
+            PlanKind::Broadcast => simd::marg_sum_broadcast(&self.segs, win, dst),
         }
         Ok(())
     }
@@ -289,23 +271,12 @@ impl KernelPlan {
     ///
     /// Same conditions as [`Self::marginalize_sum_into`].
     pub fn marginalize_max_into(&self, src: &[f64], dst: &mut [f64]) -> Result<()> {
-        self.marginalize_max_into_on(simd::active(), src, dst)
-    }
-
-    /// [`marginalize_max_into`](Self::marginalize_max_into) on an
-    /// explicit kernel backend (differential-testing hook).
-    pub fn marginalize_max_into_on(
-        &self,
-        be: KernelBackend,
-        src: &[f64],
-        dst: &mut [f64],
-    ) -> Result<()> {
         self.check_scan(src.len())?;
         self.check_target(dst.len())?;
         let win = &src[self.range.start..self.range.end];
         match self.kind {
-            PlanKind::Contig => be.marg_max_contig(&self.segs, win, dst),
-            PlanKind::Broadcast => be.marg_max_broadcast(&self.segs, win, dst),
+            PlanKind::Contig => simd::marg_max_contig(&self.segs, win, dst),
+            PlanKind::Broadcast => simd::marg_max_broadcast(&self.segs, win, dst),
         }
         Ok(())
     }
@@ -350,10 +321,9 @@ impl KernelPlan {
     pub fn multiply_into(&self, src: &[f64], out: &mut [f64]) -> Result<()> {
         self.check_target(src.len())?;
         self.check_window(out.len())?;
-        let be = simd::active();
         match self.kind {
-            PlanKind::Contig => be.mul_contig(&self.segs, src, out),
-            PlanKind::Broadcast => be.mul_broadcast(&self.segs, src, out),
+            PlanKind::Contig => simd::mul_contig(&self.segs, src, out),
+            PlanKind::Broadcast => simd::mul_broadcast(&self.segs, src, out),
         }
         Ok(())
     }
@@ -361,39 +331,9 @@ impl KernelPlan {
 
 /// Division over a destination window. Division never crosses domains
 /// (numerator, denominator and destination share one separator domain),
-/// so its "plan" is the identity map and it stays a free function:
-/// `out[i] = num[range.start + i] / den[range.start + i]` with the
-/// Hugin convention `0/0 = 0`.
-///
-/// # Errors
-///
-/// Same conditions as [`raw::divide_range_into`]
-/// (crate::raw::divide_range_into), which is its walker twin.
-pub fn divide_planned(num: &[f64], den: &[f64], range: EntryRange, out: &mut [f64]) -> Result<()> {
-    if range.start > range.end || range.end > num.len() {
-        return Err(PotentialError::BadRange {
-            start: range.start,
-            end: range.end,
-            len: num.len(),
-        });
-    }
-    if den.len() != num.len() {
-        return Err(PotentialError::DataSizeMismatch {
-            expected: num.len(),
-            found: den.len(),
-        });
-    }
-    if out.len() != range.len() {
-        return Err(PotentialError::DataSizeMismatch {
-            expected: range.len(),
-            found: out.len(),
-        });
-    }
-    let nm = &num[range.start..range.end];
-    let dn = &den[range.start..range.end];
-    simd::active().div_into(nm, dn, out);
-    Ok(())
-}
+/// so its "plan" is the identity map and the planned form is
+/// [`raw::divide_range_into`](crate::raw::divide_range_into) itself.
+pub use crate::raw::divide_range_into as divide_planned;
 
 #[cfg(test)]
 mod tests {
@@ -684,54 +624,6 @@ mod tests {
                 assert!((w - a).abs() <= 1e-12 * w.abs().max(1.0), "chunk {chunk}");
             }
             assert_eq!(want_max, acc_max, "chunk {chunk}");
-        }
-    }
-
-    #[test]
-    fn backends_interpret_plans_bit_identically() {
-        use crate::simd::KernelBackend;
-        for (scan, target) in cases() {
-            let src = fill(scan.size(), 0xE7);
-            for range in ranges(scan.size()) {
-                let plan = KernelPlan::compile(&scan, &target, range).unwrap();
-                let init = fill(target.size(), 0x53);
-                let mut want_sum = init.clone();
-                let mut want_max = init.clone();
-                plan.marginalize_sum_into_on(KernelBackend::Scalar, &src, &mut want_sum)
-                    .unwrap();
-                plan.marginalize_max_into_on(KernelBackend::Scalar, &src, &mut want_max)
-                    .unwrap();
-                for be in KernelBackend::available() {
-                    let mut got = init.clone();
-                    plan.marginalize_sum_into_on(be, &src, &mut got).unwrap();
-                    assert_eq!(
-                        want_sum.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-                        got.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-                        "{be:?} sum range {range:?}"
-                    );
-                    let mut got = init.clone();
-                    plan.marginalize_max_into_on(be, &src, &mut got).unwrap();
-                    assert_eq!(
-                        want_max.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-                        got.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-                        "{be:?} max range {range:?}"
-                    );
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn divide_planned_matches_walker() {
-        let num = fill(12, 3);
-        let mut den = fill(12, 9);
-        den[4] = 0.0;
-        for r in ranges(12) {
-            let mut want = vec![0.0; r.len()];
-            let mut got = vec![0.0; r.len()];
-            raw::divide_range_into(&num, &den, r, &mut want).unwrap();
-            divide_planned(&num, &den, r, &mut got).unwrap();
-            assert_eq!(want, got);
         }
     }
 }

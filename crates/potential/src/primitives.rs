@@ -116,10 +116,13 @@ impl EntryRange {
 /// an original separator forces zeros in the updated one).
 #[inline]
 pub(crate) fn safe_div(num: f64, den: f64) -> f64 {
+    // Divide first, then select: the loop bodies become branch-free and
+    // vectorise (a compare-and-mask per lane) with the same bits.
+    let q = num / den;
     if den == 0.0 {
         0.0
     } else {
-        num / den
+        q
     }
 }
 
@@ -286,7 +289,7 @@ impl PotentialTable {
         }
         range.validate(self.len())?;
         let src = &other.data()[range.start..range.end];
-        crate::simd::active().div_assign(&mut self.data_mut()[range.start..range.end], src);
+        crate::simd::div_assign(&mut self.data_mut()[range.start..range.end], src);
         Ok(())
     }
 

@@ -27,41 +27,34 @@
 //! functions, so the sequential engines and the partitioned scheduler
 //! execute literally the same arithmetic.
 //!
-//! # Two interchangeable backends
+//! # Walkers and plans
 //!
 //! Each cross-domain kernel exists in two forms that compute
 //! bit-identical results:
 //!
+//! * the **planned** form, which compiles a
+//!   [`KernelPlan`](crate::plan::KernelPlan) and interprets it with
+//!   slice-wise inner loops — what every public `*_raw` entry point
+//!   (`multiply_range_into`, …) runs; and
 //! * the **walker** form (`*_walker`), which derives the index mapping
-//!   on the fly with an [`AxisWalker`] — always compiled, used as the
-//!   differential-testing oracle; and
-//! * the **planned** form, which compiles a [`KernelPlan`]
-//!   (crate::plan::KernelPlan) and interprets it with slice-wise inner
-//!   loops.
+//!   on the fly with an [`AxisWalker`] — kept public as the bitwise
+//!   oracle the plan tests compare against.
 //!
-//! The public entry points (`extend_range_into_raw`, …) interpret a
-//! freshly compiled plan by default; building with the `plan-off`
-//! feature routes them back through the walker so both paths can be
-//! exercised by the full test suite. Hot paths (the scheduler) skip
-//! these entry points entirely and interpret *cached* plans.
+//! Hot paths (the scheduler) skip these entry points entirely and
+//! interpret *cached* plans.
 //!
 //! # Canonical reduction order
 //!
-//! Both backends execute their inner loops through the runtime-
-//! dispatched kernels in [`simd`](crate::simd), and every broadcast
-//! reduction (a block of scan entries collapsing onto one separator
-//! slot) follows **one fixed reduction-tree order**, defined by
-//! [`sum_canonical`] and [`fold_max_canonical`] below. This is the
-//! determinism contract that lets scalar, SSE2, AVX2 and
-//! `portable-simd` kernels — and the walker and planned paths — produce
-//! bit-identical tables; see the [`simd`](crate::simd) module docs for
-//! the exact lane layout each backend uses to realize it.
+//! Both forms execute their inner loops through the slice kernels in
+//! [`simd`](crate::simd), and every broadcast reduction (a block of scan
+//! entries collapsing onto one separator slot) follows **one fixed
+//! reduction-tree order**, defined by [`sum_canonical`] and
+//! [`fold_max_canonical`] below. That order is what makes the walker
+//! and planned paths produce bit-identical tables.
 
 use crate::index::AxisWalker;
-#[cfg(not(feature = "plan-off"))]
-use crate::plan::KernelPlan;
-use crate::plan::PlanKind;
-use crate::simd::{self, KernelBackend};
+use crate::plan::{KernelPlan, PlanKind};
+use crate::simd;
 use crate::{Domain, EntryRange, PotentialError, Result};
 
 fn check_range(range: EntryRange, len: usize) -> Result<()> {
@@ -94,8 +87,7 @@ fn check_subdomain(sub: &Domain, sup: &Domain) -> Result<()> {
     Ok(())
 }
 
-/// The **canonical sum order**: the scalar reference every kernel
-/// backend must reproduce bit-for-bit.
+/// The **canonical sum order** every broadcast sum reduction follows.
 ///
 /// With `chunks = xs.len() / 4`, lane `j ∈ 0..4` accumulates
 /// `xs[4k + j]` for `k = 0..chunks` left to right; the lanes combine as
@@ -124,8 +116,7 @@ pub fn sum_canonical(xs: &[f64]) -> f64 {
 /// The **canonical max order**: folds `xs` into `init` with the same
 /// 4-lane tree as [`sum_canonical`], using the select
 /// `if x > m { m = x }` everywhere — on ties (`+0.0` vs `-0.0`) and
-/// NaNs the accumulator is kept, exactly the `maxpd` second-operand
-/// rule the intrinsic backends inherit.
+/// NaNs the accumulator is kept.
 pub fn fold_max_canonical(init: f64, xs: &[f64]) -> f64 {
     let mut it = xs.chunks_exact(4);
     let mut acc = init;
@@ -162,23 +153,22 @@ pub fn fold_max_canonical(init: f64, xs: &[f64]) -> f64 {
 }
 
 /// Folds one broadcast block into its destination slot with the
-/// canonical sum order on the given backend. The single-entry fast
-/// path (`δ = 1` plans) is shared here so every backend performs the
-/// identical `+=` (not `+= (0.0 + x)`, which differs for `-0.0`).
+/// canonical sum order. A single-entry block (`δ = 1` plans) does a
+/// plain `+=` (not `+= (0.0 + x)`, which differs for `-0.0`).
 #[inline]
-pub fn reduce_add_into(be: KernelBackend, slot: &mut f64, xs: &[f64]) {
+pub fn reduce_add_into(slot: &mut f64, xs: &[f64]) {
     if let [x] = xs {
         *slot += *x;
     } else {
-        *slot += be.sum(xs);
+        *slot += sum_canonical(xs);
     }
 }
 
 /// Folds one broadcast block into its destination slot with the
-/// canonical max order on the given backend.
+/// canonical max order.
 #[inline]
-pub fn reduce_max_into(be: KernelBackend, slot: &mut f64, xs: &[f64]) {
-    *slot = be.fold_max(*slot, xs);
+pub fn reduce_max_into(slot: &mut f64, xs: &[f64]) {
+    *slot = fold_max_canonical(*slot, xs);
 }
 
 /// **Division** over a destination window: `out[i] =
@@ -208,7 +198,7 @@ pub fn divide_range_into(
     check_window(out, range)?;
     let nm = &num[range.start..range.end];
     let dn = &den[range.start..range.end];
-    simd::active().div_into(nm, dn, out);
+    simd::div_into(nm, dn, out);
     Ok(())
 }
 
@@ -228,13 +218,8 @@ pub fn extend_range_into_raw(
     range: EntryRange,
     out: &mut [f64],
 ) -> Result<()> {
-    #[cfg(not(feature = "plan-off"))]
-    {
-        let plan = KernelPlan::compile(dst_domain, src_domain, range)?;
-        plan.extend_into(src, out)
-    }
-    #[cfg(feature = "plan-off")]
-    extend_range_into_walker(src_domain, src, dst_domain, range, out)
+    let plan = KernelPlan::compile(dst_domain, src_domain, range)?;
+    plan.extend_into(src, out)
 }
 
 /// Walker form of [`extend_range_into_raw`]: same contract, index map
@@ -282,13 +267,8 @@ pub fn multiply_range_into(
     range: EntryRange,
     out: &mut [f64],
 ) -> Result<()> {
-    #[cfg(not(feature = "plan-off"))]
-    {
-        let plan = KernelPlan::compile(dst_domain, src_domain, range)?;
-        plan.multiply_into(src, out)
-    }
-    #[cfg(feature = "plan-off")]
-    multiply_range_into_walker(src_domain, src, dst_domain, range, out)
+    let plan = KernelPlan::compile(dst_domain, src_domain, range)?;
+    plan.multiply_into(src, out)
 }
 
 /// Walker form of [`multiply_range_into`]: same contract, index map
@@ -340,13 +320,8 @@ pub fn marginalize_range_into_raw(
     dst_domain: &Domain,
     dst: &mut [f64],
 ) -> Result<()> {
-    #[cfg(not(feature = "plan-off"))]
-    {
-        let plan = KernelPlan::compile(src_domain, dst_domain, range)?;
-        plan.marginalize_sum_into(src, dst)
-    }
-    #[cfg(feature = "plan-off")]
-    marginalize_range_into_walker(src_domain, src, range, dst_domain, dst)
+    let plan = KernelPlan::compile(src_domain, dst_domain, range)?;
+    plan.marginalize_sum_into(src, dst)
 }
 
 /// Walker form of [`marginalize_range_into_raw`]: same contract, index
@@ -378,7 +353,6 @@ pub fn marginalize_range_into_walker(
     }
     let tstrides = src_domain.strides_in(dst_domain);
     let (block, kind) = crate::plan::uniform_suffix_block(src_domain, &tstrides);
-    let be = simd::active();
     let mut w = AxisWalker::new(src_domain, tstrides);
     let mut pos = range.start;
     while pos < range.end {
@@ -386,8 +360,8 @@ pub fn marginalize_range_into_walker(
         w.seek(src_domain, pos);
         let base = w.target_index();
         match kind {
-            PlanKind::Contig => be.add_assign(&mut dst[base..base + len], &src[pos..pos + len]),
-            PlanKind::Broadcast => reduce_add_into(be, &mut dst[base], &src[pos..pos + len]),
+            PlanKind::Contig => simd::add_assign(&mut dst[base..base + len], &src[pos..pos + len]),
+            PlanKind::Broadcast => reduce_add_into(&mut dst[base], &src[pos..pos + len]),
         }
         pos += len;
     }
@@ -409,13 +383,8 @@ pub fn max_marginalize_range_into_raw(
     dst_domain: &Domain,
     dst: &mut [f64],
 ) -> Result<()> {
-    #[cfg(not(feature = "plan-off"))]
-    {
-        let plan = KernelPlan::compile(src_domain, dst_domain, range)?;
-        plan.marginalize_max_into(src, dst)
-    }
-    #[cfg(feature = "plan-off")]
-    max_marginalize_range_into_walker(src_domain, src, range, dst_domain, dst)
+    let plan = KernelPlan::compile(src_domain, dst_domain, range)?;
+    plan.marginalize_max_into(src, dst)
 }
 
 /// Walker form of [`max_marginalize_range_into_raw`]: same contract,
@@ -442,7 +411,6 @@ pub fn max_marginalize_range_into_walker(
     }
     let tstrides = src_domain.strides_in(dst_domain);
     let (block, kind) = crate::plan::uniform_suffix_block(src_domain, &tstrides);
-    let be = simd::active();
     let mut w = AxisWalker::new(src_domain, tstrides);
     let mut pos = range.start;
     while pos < range.end {
@@ -450,8 +418,8 @@ pub fn max_marginalize_range_into_walker(
         w.seek(src_domain, pos);
         let base = w.target_index();
         match kind {
-            PlanKind::Contig => be.max_assign(&mut dst[base..base + len], &src[pos..pos + len]),
-            PlanKind::Broadcast => reduce_max_into(be, &mut dst[base], &src[pos..pos + len]),
+            PlanKind::Contig => simd::max_assign(&mut dst[base..base + len], &src[pos..pos + len]),
+            PlanKind::Broadcast => reduce_max_into(&mut dst[base], &src[pos..pos + len]),
         }
         pos += len;
     }
@@ -471,7 +439,7 @@ pub fn add_assign_raw(dst: &mut [f64], src: &[f64]) -> Result<()> {
             found: src.len(),
         });
     }
-    simd::active().add_assign(dst, src);
+    simd::add_assign(dst, src);
     Ok(())
 }
 
@@ -488,7 +456,7 @@ pub fn max_assign_raw(dst: &mut [f64], src: &[f64]) -> Result<()> {
             found: src.len(),
         });
     }
-    simd::active().max_assign(dst, src);
+    simd::max_assign(dst, src);
     Ok(())
 }
 
@@ -512,15 +480,20 @@ mod tests {
 
     #[test]
     fn divide_windows_match_whole() {
-        let num = table(&[(0, 2), (1, 2)], vec![1., 4., 0., 9.]);
-        let den = table(&[(0, 2), (1, 2)], vec![2., 2., 0., 3.]);
+        let num = table(&[(0, 2), (1, 3)], vec![1., 4., 0., 9., -3.5, -0.0]);
+        let den = table(&[(0, 2), (1, 3)], vec![2., 2., 0., 3., 0., -0.0]);
         let mut whole = num.clone();
         whole.divide_assign(&den).unwrap();
-        let mut pieced = vec![0.0; num.len()];
-        for r in EntryRange::split(num.len(), 3) {
+        let mut pieced = vec![1.0; num.len()];
+        for r in EntryRange::split(num.len(), 4) {
             divide_range_into(num.data(), den.data(), r, &mut pieced[r.start..r.end]).unwrap();
         }
-        assert_eq!(pieced, whole.data());
+        let bits = |xs: &[f64]| xs.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&pieced), bits(whole.data()));
+        // x/0 is +0.0 whatever the sign of x or of the zero.
+        for i in [2, 4, 5] {
+            assert_eq!(pieced[i].to_bits(), 0.0f64.to_bits(), "entry {i}");
+        }
     }
 
     #[test]

@@ -1,1504 +1,284 @@
-//! Runtime-dispatched SIMD kernel backends for the potential-table
-//! inner loops.
+//! The slice kernels behind every table primitive.
 //!
 //! The [`KernelPlan`](crate::KernelPlan) interpreter and the walker
 //! kernels in [`raw`](crate::raw) spend essentially all of their time in
 //! a handful of slice loops: elementwise add/max/multiply/divide over
 //! contiguous segments, and the broadcast sum/max reductions that
 //! collapse a block of scan entries onto one separator slot. This module
-//! provides those loops in several implementations — portable scalar,
-//! SSE2, AVX2, and (behind the nightly-only `portable-simd` feature)
-//! `std::simd` — selected **once per process** and cached.
+//! holds those loops, once, as plain scalar Rust written so the compiler
+//! can vectorise the elementwise ones on the target's baseline
+//! instruction set.
 //!
 //! # Determinism contract
 //!
 //! The repo asserts bitwise-identical marginals across thread counts,
 //! δ-grains at a fixed δ, shard layouts, and in golden serve smoke
 //! files. Floating-point addition and `max`-with-tie-breaking are not
-//! associative at the bit level, so SIMD kernels are only admissible if
-//! **every backend performs the same IEEE-754 operations in the same
-//! order**. The contract, defined by
-//! [`raw::sum_canonical`](crate::raw::sum_canonical) and
-//! [`raw::fold_max_canonical`](crate::raw::fold_max_canonical) and
-//! restated here:
+//! associative at the bit level, so every path must perform the same
+//! IEEE-754 operations in the same order:
 //!
-//! * **Reductions** use a fixed 4-lane reduction tree. With
-//!   `chunks = len / 4`, lane `j` accumulates `xs[4k + j]` for
-//!   `k = 0..chunks` in increasing `k`; the four lanes combine as
-//!   `(l0 + l2) + (l1 + l3)` for sum and
-//!   `sel(sel(m0 > m2) > sel(m1 > m3))` for max; the `len % 4` tail
-//!   entries then fold in sequentially, left to right. SSE2 realizes
-//!   the four lanes as two `__m128d` accumulators, AVX2 as one
-//!   `__m256d` split 128/128 at the end, and the scalar path as four
-//!   named locals — the identical operation DAG, so identical bits.
-//! * **Max** is everywhere the select `if x > acc { acc = x }`, which
-//!   is exactly `_mm_max_pd(x, acc)` / `_mm256_max_pd(x, acc)`
-//!   semantics: on ties (including `+0.0` vs `-0.0`) and NaNs the
-//!   *second* operand (the accumulator) is kept.
-//! * **Elementwise** kernels (add/max/mul/div) perform one independent
-//!   IEEE operation per entry, so any vector width yields the same
-//!   bits by construction. Division keeps the Hugin `x/0 = 0`
-//!   convention via a compare-and-mask
-//!   (`andnot(den == 0, num / den)`), which matches
-//!   `safe_div`'s branch bit-for-bit (the mask result is `+0.0`, as is
-//!   the scalar literal).
+//! * **Reductions** follow the canonical 4-lane tree defined by
+//!   [`raw::sum_canonical`](crate::raw::sum_canonical) and
+//!   [`raw::fold_max_canonical`](crate::raw::fold_max_canonical).
+//! * **Max** is everywhere the select `if x > acc { acc = x }`: on ties
+//!   (including `+0.0` vs `-0.0`) and NaNs the accumulator is kept.
+//! * **Elementwise** kernels perform one independent IEEE operation per
+//!   entry. Division keeps the Hugin `x/0 = +0.0` convention.
 //!
-//! `tests/prop_plans.rs` and the unit suite below assert cross-backend
-//! bit-identity on random shapes; the CI serve-smoke job diffs the
-//! golden response file once per available backend.
+//! The walker and planned paths both run these kernels, which is what
+//! lets the walkers serve as the bitwise oracle in `tests/prop_plans.rs`.
 //!
-//! # Selection
-//!
-//! [`active`] resolves the backend on first use, in order:
-//!
-//! 1. an explicit [`set_active`] call (the CLI's `--kernel-backend`
-//!    flag), which validates availability;
-//! 2. the `EVPROP_KERNEL_BACKEND` environment variable (`scalar`,
-//!    `sse2`, `avx2`, `portable`) — unknown or unavailable values fall
-//!    back to detection so a typo degrades gracefully rather than
-//!    aborting a library call (the active backend is observable via
-//!    STATS/trace);
-//! 3. `is_x86_feature_detected!` probing, best-first: AVX2, then SSE2,
-//!    then scalar. The `portable-simd` backend is never auto-selected.
-//!
-//! Under Miri and on non-x86 targets the intrinsic backends are
-//! compiled out and everything resolves to the scalar path. Calling an
-//! op on a [`KernelBackend`] value whose hardware support is absent is
-//! safe: each dispatch arm re-guards on the (cached) feature test and
-//! falls back to scalar, so no intrinsic is ever executed undetected.
+//! [`active`] names the implementation for host reports; there is only
+//! the scalar one.
 
 use crate::plan::Segment;
-use crate::{PotentialError, Result};
-use std::sync::atomic::{AtomicU8, Ordering};
+use crate::primitives::safe_div;
+use crate::raw::{reduce_add_into, reduce_max_into};
 
-/// Which kernel implementation executes the potential-table inner
-/// loops. All variants exist on every target; availability is a
-/// runtime property (see [`KernelBackend::is_available`]).
+/// The kernel implementation that executes the potential-table inner
+/// loops. There is one; the type remains so host reports can name it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum KernelBackend {
-    /// Portable scalar loops (the canonical reference order).
+    /// Canonical-order scalar loops.
     Scalar,
-    /// SSE2 intrinsics, 2 lanes × 2 accumulators.
-    Sse2,
-    /// AVX2 intrinsics, one 4-lane accumulator.
-    Avx2,
-    /// Nightly `std::simd` (`portable-simd` feature), 4-lane vectors.
-    Portable,
-}
-
-/// Every backend, detection order last-to-first.
-pub const ALL_BACKENDS: [KernelBackend; 4] = [
-    KernelBackend::Scalar,
-    KernelBackend::Sse2,
-    KernelBackend::Avx2,
-    KernelBackend::Portable,
-];
-
-#[inline]
-fn sse2_ok() -> bool {
-    #[cfg(all(any(target_arch = "x86", target_arch = "x86_64"), not(miri)))]
-    {
-        is_x86_feature_detected!("sse2")
-    }
-    #[cfg(not(all(any(target_arch = "x86", target_arch = "x86_64"), not(miri))))]
-    {
-        false
-    }
-}
-
-#[inline]
-fn avx2_ok() -> bool {
-    #[cfg(all(any(target_arch = "x86", target_arch = "x86_64"), not(miri)))]
-    {
-        is_x86_feature_detected!("avx2")
-    }
-    #[cfg(not(all(any(target_arch = "x86", target_arch = "x86_64"), not(miri))))]
-    {
-        false
-    }
-}
-
-/// Dispatches `$fn($args…)` to the backend's implementation module.
-///
-/// Each intrinsic arm re-guards on the cached CPUID probe, so the
-/// `unsafe` target-feature call is sound even if a caller conjures an
-/// unavailable `KernelBackend` value — it silently degrades to the
-/// scalar path, which computes the same bits anyway.
-macro_rules! dispatch {
-    ($be:expr, $fn:ident, ( $($arg:expr),* )) => {
-        match $be {
-            #[cfg(all(any(target_arch = "x86", target_arch = "x86_64"), not(miri)))]
-            KernelBackend::Sse2 if sse2_ok() =>
-                // SAFETY: the guard just confirmed SSE2 support.
-                unsafe { sse2::$fn($($arg),*) },
-            #[cfg(all(any(target_arch = "x86", target_arch = "x86_64"), not(miri)))]
-            KernelBackend::Avx2 if avx2_ok() =>
-                // SAFETY: the guard just confirmed AVX2 support.
-                unsafe { avx2::$fn($($arg),*) },
-            #[cfg(feature = "portable-simd")]
-            KernelBackend::Portable => portable::$fn($($arg),*),
-            _ => scalar::$fn($($arg),*),
-        }
-    };
-}
-
-/// Work sizes below this take the always-inlined scalar path even on a
-/// SIMD backend: the intrinsic implementations live behind a
-/// non-inlinable `#[target_feature]` call, which on a handful of
-/// entries costs more than the vector lanes save (δ = 1 plans dispatch
-/// once per *entry*). The shortcut is unobservable in the output —
-/// every backend computes identical bits by contract — so only timing
-/// changes. 32 entries is 8 AVX2 iterations, comfortably past
-/// break-even.
-const SMALL_N: usize = 32;
-
-/// [`dispatch!`], except work sizes under [`SMALL_N`] short-circuit to
-/// the scalar implementation.
-macro_rules! dispatch_n {
-    ($be:expr, $n:expr, $fn:ident, ( $($arg:expr),* )) => {
-        if $n < SMALL_N {
-            scalar::$fn($($arg),*)
-        } else {
-            dispatch!($be, $fn, ( $($arg),* ))
-        }
-    };
 }
 
 impl KernelBackend {
-    /// Stable lower-case name (`scalar`, `sse2`, `avx2`, `portable`)
-    /// used by the CLI flag, the env var, STATS and trace instants.
+    /// Stable lower-case name (`scalar`) for host reports.
     pub fn name(self) -> &'static str {
         match self {
             KernelBackend::Scalar => "scalar",
-            KernelBackend::Sse2 => "sse2",
-            KernelBackend::Avx2 => "avx2",
-            KernelBackend::Portable => "portable",
         }
-    }
-
-    /// Parses a backend name as accepted by `--kernel-backend` and
-    /// `EVPROP_KERNEL_BACKEND`. Returns `None` for unknown names
-    /// (`auto` is resolved by callers via [`KernelBackend::detect`]).
-    pub fn parse(s: &str) -> Option<Self> {
-        match s.trim().to_ascii_lowercase().as_str() {
-            "scalar" => Some(KernelBackend::Scalar),
-            "sse2" => Some(KernelBackend::Sse2),
-            "avx2" => Some(KernelBackend::Avx2),
-            "portable" => Some(KernelBackend::Portable),
-            _ => None,
-        }
-    }
-
-    /// Whether this process can actually run the backend: compiled in
-    /// (arch / feature gates) *and* supported by the host CPU.
-    pub fn is_available(self) -> bool {
-        match self {
-            KernelBackend::Scalar => true,
-            KernelBackend::Sse2 => sse2_ok(),
-            KernelBackend::Avx2 => avx2_ok(),
-            KernelBackend::Portable => cfg!(feature = "portable-simd"),
-        }
-    }
-
-    /// The best auto-detected backend: AVX2, else SSE2, else scalar.
-    /// `portable` is opt-in only.
-    pub fn detect() -> Self {
-        if avx2_ok() {
-            KernelBackend::Avx2
-        } else if sse2_ok() {
-            KernelBackend::Sse2
-        } else {
-            KernelBackend::Scalar
-        }
-    }
-
-    /// All backends this process can run, in [`ALL_BACKENDS`] order.
-    pub fn available() -> Vec<Self> {
-        ALL_BACKENDS
-            .into_iter()
-            .filter(|b| b.is_available())
-            .collect()
-    }
-
-    /// Canonical-order sum of `xs` (see the module docs); starts from
-    /// `0.0`, so callers fold the result into their accumulator.
-    #[inline]
-    pub fn sum(self, xs: &[f64]) -> f64 {
-        dispatch_n!(self, xs.len(), sum, (xs))
-    }
-
-    /// Folds `xs` into `acc` with the canonical-order max reduction.
-    #[inline]
-    pub fn fold_max(self, acc: f64, xs: &[f64]) -> f64 {
-        dispatch_n!(self, xs.len(), fold_max, (acc, xs))
-    }
-
-    /// Elementwise `dst[i] += src[i]` over `min(len)` entries.
-    #[inline]
-    pub fn add_assign(self, dst: &mut [f64], src: &[f64]) {
-        debug_assert_eq!(dst.len(), src.len());
-        dispatch_n!(self, dst.len(), add_assign, (dst, src))
-    }
-
-    /// Elementwise `dst[i] = if src[i] > dst[i] { src[i] } else { dst[i] }`.
-    #[inline]
-    pub fn max_assign(self, dst: &mut [f64], src: &[f64]) {
-        debug_assert_eq!(dst.len(), src.len());
-        dispatch_n!(self, dst.len(), max_assign, (dst, src))
-    }
-
-    /// Elementwise `dst[i] *= src[i]`.
-    #[inline]
-    pub fn mul_assign(self, dst: &mut [f64], src: &[f64]) {
-        debug_assert_eq!(dst.len(), src.len());
-        dispatch_n!(self, dst.len(), mul_assign, (dst, src))
-    }
-
-    /// Broadcast `dst[i] *= m`.
-    #[inline]
-    pub fn mul_scalar(self, dst: &mut [f64], m: f64) {
-        dispatch_n!(self, dst.len(), mul_scalar, (dst, m))
-    }
-
-    /// Elementwise `out[i] = safe_div(num[i], den[i])` (`x/0 = 0`).
-    #[inline]
-    pub fn div_into(self, num: &[f64], den: &[f64], out: &mut [f64]) {
-        debug_assert_eq!(num.len(), out.len());
-        debug_assert_eq!(den.len(), out.len());
-        dispatch_n!(self, out.len(), div_into, (num, den, out))
-    }
-
-    /// Elementwise `dst[i] = safe_div(dst[i], den[i])`.
-    #[inline]
-    pub fn div_assign(self, dst: &mut [f64], den: &[f64]) {
-        debug_assert_eq!(dst.len(), den.len());
-        dispatch_n!(self, dst.len(), div_assign, (dst, den))
-    }
-
-    // Fused plan loops: one dispatch (and, for the intrinsic backends,
-    // one non-inlinable `#[target_feature]` call) per plan *execution*
-    // instead of per segment. The segment loop runs inside the
-    // feature-enabled function, so per-block call overhead — which the
-    // inlining scalar path never paid — disappears at small δ. Each
-    // fused loop performs the exact per-segment op sequence of its
-    // single-block twin, so bits are unchanged.
-
-    /// Contig sum-marginalization: `dst[tb..tb+len] += src[pos..]` per
-    /// segment (`src` is the plan's range window).
-    #[inline]
-    pub fn marg_sum_contig(self, segs: &[Segment], src: &[f64], dst: &mut [f64]) {
-        dispatch_n!(self, src.len(), marg_sum_contig, (segs, src, dst))
-    }
-
-    /// Broadcast sum-marginalization: `dst[tb] +=` canonical-order sum
-    /// of each segment's block (one-entry blocks add directly).
-    #[inline]
-    pub fn marg_sum_broadcast(self, segs: &[Segment], src: &[f64], dst: &mut [f64]) {
-        dispatch_n!(self, src.len(), marg_sum_broadcast, (segs, src, dst))
-    }
-
-    /// Contig max-marginalization: elementwise select per segment.
-    #[inline]
-    pub fn marg_max_contig(self, segs: &[Segment], src: &[f64], dst: &mut [f64]) {
-        dispatch_n!(self, src.len(), marg_max_contig, (segs, src, dst))
-    }
-
-    /// Broadcast max-marginalization: canonical-order max fold of each
-    /// segment's block into its slot.
-    #[inline]
-    pub fn marg_max_broadcast(self, segs: &[Segment], src: &[f64], dst: &mut [f64]) {
-        dispatch_n!(self, src.len(), marg_max_broadcast, (segs, src, dst))
-    }
-
-    /// Contig multiplication: `out[pos..] *= src[tb..tb+len]` per
-    /// segment (`out` is the plan's range window, `src` the full
-    /// target-domain factor).
-    #[inline]
-    pub fn mul_contig(self, segs: &[Segment], src: &[f64], out: &mut [f64]) {
-        dispatch_n!(self, out.len(), mul_contig, (segs, src, out))
-    }
-
-    /// Broadcast multiplication: `out[pos..pos+len] *= src[tb]` per
-    /// segment.
-    #[inline]
-    pub fn mul_broadcast(self, segs: &[Segment], src: &[f64], out: &mut [f64]) {
-        dispatch_n!(self, out.len(), mul_broadcast, (segs, src, out))
     }
 }
 
-/// 0 = unresolved; otherwise `encode(backend)`.
-static ACTIVE: AtomicU8 = AtomicU8::new(0);
-
-fn encode(be: KernelBackend) -> u8 {
-    match be {
-        KernelBackend::Scalar => 1,
-        KernelBackend::Sse2 => 2,
-        KernelBackend::Avx2 => 3,
-        KernelBackend::Portable => 4,
-    }
-}
-
-fn decode(v: u8) -> Option<KernelBackend> {
-    match v {
-        1 => Some(KernelBackend::Scalar),
-        2 => Some(KernelBackend::Sse2),
-        3 => Some(KernelBackend::Avx2),
-        4 => Some(KernelBackend::Portable),
-        _ => None,
-    }
-}
-
-/// Resolves the env-var request (if any) against availability; pure so
-/// the policy is unit-testable without touching process env.
-fn choose(env_request: Option<&str>) -> KernelBackend {
-    if let Some(be) = env_request.and_then(KernelBackend::parse) {
-        if be.is_available() {
-            return be;
-        }
-    }
-    KernelBackend::detect()
-}
-
-/// The process-wide active backend, resolved on first call (see the
-/// module docs for the precedence) and cached in an atomic thereafter.
-#[inline]
+/// The kernel implementation this process runs: always
+/// [`KernelBackend::Scalar`].
 pub fn active() -> KernelBackend {
-    match decode(ACTIVE.load(Ordering::Relaxed)) {
-        Some(be) => be,
-        None => resolve_active(),
+    KernelBackend::Scalar
+}
+
+/// Elementwise `dst[i] += src[i]`.
+#[inline]
+pub(crate) fn add_assign(dst: &mut [f64], src: &[f64]) {
+    debug_assert_eq!(dst.len(), src.len());
+    for (a, &b) in dst.iter_mut().zip(src) {
+        *a += b;
     }
 }
 
-#[cold]
-fn resolve_active() -> KernelBackend {
-    let be = choose(std::env::var("EVPROP_KERNEL_BACKEND").ok().as_deref());
-    // Only install if still unresolved, so a concurrent set_active wins.
-    let _ = ACTIVE.compare_exchange(0, encode(be), Ordering::Relaxed, Ordering::Relaxed);
-    decode(ACTIVE.load(Ordering::Relaxed)).unwrap_or(KernelBackend::Scalar)
-}
-
-/// Overrides the process-wide backend (the CLI's `--kernel-backend`).
-///
-/// # Errors
-///
-/// [`PotentialError::BackendUnavailable`] if the backend is not
-/// compiled in or not supported by this CPU; the previous selection is
-/// left untouched.
-pub fn set_active(be: KernelBackend) -> Result<()> {
-    if !be.is_available() {
-        return Err(PotentialError::BackendUnavailable { backend: be.name() });
-    }
-    ACTIVE.store(encode(be), Ordering::Relaxed);
-    Ok(())
-}
-
-/// Scalar reference kernels. Reductions delegate to the canonical-order
-/// definitions in [`raw`](crate::raw) — this module *is* the contract
-/// the intrinsic backends replicate.
-mod scalar {
-    use crate::plan::Segment;
-    use crate::primitives::safe_div;
-
-    #[inline]
-    pub fn sum(xs: &[f64]) -> f64 {
-        crate::raw::sum_canonical(xs)
-    }
-
-    #[inline]
-    pub fn fold_max(acc: f64, xs: &[f64]) -> f64 {
-        crate::raw::fold_max_canonical(acc, xs)
-    }
-
-    pub fn add_assign(dst: &mut [f64], src: &[f64]) {
-        for (a, &b) in dst.iter_mut().zip(src) {
-            *a += b;
-        }
-    }
-
-    pub fn max_assign(dst: &mut [f64], src: &[f64]) {
-        for (a, &b) in dst.iter_mut().zip(src) {
-            if b > *a {
-                *a = b;
-            }
-        }
-    }
-
-    pub fn mul_assign(dst: &mut [f64], src: &[f64]) {
-        for (a, &b) in dst.iter_mut().zip(src) {
-            *a *= b;
-        }
-    }
-
-    pub fn mul_scalar(dst: &mut [f64], m: f64) {
-        for a in dst {
-            *a *= m;
-        }
-    }
-
-    pub fn div_into(num: &[f64], den: &[f64], out: &mut [f64]) {
-        for ((slot, &n), &d) in out.iter_mut().zip(num).zip(den) {
-            *slot = safe_div(n, d);
-        }
-    }
-
-    pub fn div_assign(dst: &mut [f64], den: &[f64]) {
-        for (a, &d) in dst.iter_mut().zip(den) {
-            *a = safe_div(*a, d);
-        }
-    }
-
-    pub fn marg_sum_contig(segs: &[Segment], src: &[f64], dst: &mut [f64]) {
-        let mut pos = 0;
-        for seg in segs {
-            add_assign(
-                &mut dst[seg.target_base..seg.target_base + seg.len],
-                &src[pos..pos + seg.len],
-            );
-            pos += seg.len;
-        }
-    }
-
-    pub fn marg_sum_broadcast(segs: &[Segment], src: &[f64], dst: &mut [f64]) {
-        let mut pos = 0;
-        for seg in segs {
-            let xs = &src[pos..pos + seg.len];
-            if let [x] = xs {
-                dst[seg.target_base] += *x;
-            } else {
-                dst[seg.target_base] += sum(xs);
-            }
-            pos += seg.len;
-        }
-    }
-
-    pub fn marg_max_contig(segs: &[Segment], src: &[f64], dst: &mut [f64]) {
-        let mut pos = 0;
-        for seg in segs {
-            max_assign(
-                &mut dst[seg.target_base..seg.target_base + seg.len],
-                &src[pos..pos + seg.len],
-            );
-            pos += seg.len;
-        }
-    }
-
-    pub fn marg_max_broadcast(segs: &[Segment], src: &[f64], dst: &mut [f64]) {
-        let mut pos = 0;
-        for seg in segs {
-            let slot = &mut dst[seg.target_base];
-            *slot = fold_max(*slot, &src[pos..pos + seg.len]);
-            pos += seg.len;
-        }
-    }
-
-    pub fn mul_contig(segs: &[Segment], src: &[f64], out: &mut [f64]) {
-        let mut pos = 0;
-        for seg in segs {
-            mul_assign(
-                &mut out[pos..pos + seg.len],
-                &src[seg.target_base..seg.target_base + seg.len],
-            );
-            pos += seg.len;
-        }
-    }
-
-    pub fn mul_broadcast(segs: &[Segment], src: &[f64], out: &mut [f64]) {
-        let mut pos = 0;
-        for seg in segs {
-            mul_scalar(&mut out[pos..pos + seg.len], src[seg.target_base]);
-            pos += seg.len;
+/// Elementwise `dst[i] = if src[i] > dst[i] { src[i] } else { dst[i] }`.
+#[inline]
+pub(crate) fn max_assign(dst: &mut [f64], src: &[f64]) {
+    debug_assert_eq!(dst.len(), src.len());
+    for (a, &b) in dst.iter_mut().zip(src) {
+        if b > *a {
+            *a = b;
         }
     }
 }
 
-/// SSE2 kernels: the canonical 4-lane tree as two 2-lane accumulators.
-///
-/// # Safety
-///
-/// Every function is `#[target_feature(enable = "sse2")]` and must only
-/// be called after an `is_x86_feature_detected!("sse2")` check (the
-/// `dispatch!` macro guards each arm).
-#[cfg(all(any(target_arch = "x86", target_arch = "x86_64"), not(miri)))]
-mod sse2 {
-    use self::arch::{
-        _mm_add_pd, _mm_andnot_pd, _mm_cmpeq_pd, _mm_cvtsd_f64, _mm_div_pd, _mm_loadu_pd,
-        _mm_max_pd, _mm_mul_pd, _mm_set1_pd, _mm_setzero_pd, _mm_storeu_pd, _mm_unpackhi_pd,
-    };
-    use crate::plan::Segment;
-    use crate::primitives::safe_div;
-    #[cfg(target_arch = "x86")]
-    use std::arch::x86 as arch;
-    #[cfg(target_arch = "x86_64")]
-    use std::arch::x86_64 as arch;
-
-    #[target_feature(enable = "sse2")]
-    pub unsafe fn sum(xs: &[f64]) -> f64 {
-        let chunks = xs.len() / 4;
-        let p = xs.as_ptr();
-        let mut total = 0.0;
-        if chunks > 0 {
-            // accA = [l0, l1], accB = [l2, l3].
-            let mut acc_a = _mm_setzero_pd();
-            let mut acc_b = _mm_setzero_pd();
-            for k in 0..chunks {
-                acc_a = _mm_add_pd(acc_a, _mm_loadu_pd(p.add(4 * k)));
-                acc_b = _mm_add_pd(acc_b, _mm_loadu_pd(p.add(4 * k + 2)));
-            }
-            // [l0 + l2, l1 + l3], then (l0 + l2) + (l1 + l3).
-            let t = _mm_add_pd(acc_a, acc_b);
-            total = _mm_cvtsd_f64(t) + _mm_cvtsd_f64(_mm_unpackhi_pd(t, t));
-        }
-        for &x in &xs[chunks * 4..] {
-            total += x;
-        }
-        total
-    }
-
-    #[target_feature(enable = "sse2")]
-    pub unsafe fn fold_max(init: f64, xs: &[f64]) -> f64 {
-        let chunks = xs.len() / 4;
-        let p = xs.as_ptr();
-        let mut acc = init;
-        if chunks > 0 {
-            // Lanes seeded from the first chunk; maxpd keeps the second
-            // operand on ties/NaN, matching `if x > m { m = x }`.
-            let mut m_a = _mm_loadu_pd(p);
-            let mut m_b = _mm_loadu_pd(p.add(2));
-            for k in 1..chunks {
-                m_a = _mm_max_pd(_mm_loadu_pd(p.add(4 * k)), m_a);
-                m_b = _mm_max_pd(_mm_loadu_pd(p.add(4 * k + 2)), m_b);
-            }
-            let t = _mm_max_pd(m_a, m_b); // [sel(m0>m2), sel(m1>m3)]
-            let lo = _mm_cvtsd_f64(t);
-            let hi = _mm_cvtsd_f64(_mm_unpackhi_pd(t, t));
-            let block = if lo > hi { lo } else { hi };
-            if block > acc {
-                acc = block;
-            }
-        }
-        for &x in &xs[chunks * 4..] {
-            if x > acc {
-                acc = x;
-            }
-        }
-        acc
-    }
-
-    #[target_feature(enable = "sse2")]
-    pub unsafe fn add_assign(dst: &mut [f64], src: &[f64]) {
-        let n = dst.len().min(src.len());
-        let chunks = n / 2;
-        let d = dst.as_mut_ptr();
-        let s = src.as_ptr();
-        for k in 0..chunks {
-            let v = _mm_add_pd(_mm_loadu_pd(d.add(2 * k)), _mm_loadu_pd(s.add(2 * k)));
-            _mm_storeu_pd(d.add(2 * k), v);
-        }
-        for i in chunks * 2..n {
-            dst[i] += src[i];
-        }
-    }
-
-    #[target_feature(enable = "sse2")]
-    pub unsafe fn max_assign(dst: &mut [f64], src: &[f64]) {
-        let n = dst.len().min(src.len());
-        let chunks = n / 2;
-        let d = dst.as_mut_ptr();
-        let s = src.as_ptr();
-        for k in 0..chunks {
-            let v = _mm_max_pd(_mm_loadu_pd(s.add(2 * k)), _mm_loadu_pd(d.add(2 * k)));
-            _mm_storeu_pd(d.add(2 * k), v);
-        }
-        for i in chunks * 2..n {
-            if src[i] > dst[i] {
-                dst[i] = src[i];
-            }
-        }
-    }
-
-    #[target_feature(enable = "sse2")]
-    pub unsafe fn mul_assign(dst: &mut [f64], src: &[f64]) {
-        let n = dst.len().min(src.len());
-        let chunks = n / 2;
-        let d = dst.as_mut_ptr();
-        let s = src.as_ptr();
-        for k in 0..chunks {
-            let v = _mm_mul_pd(_mm_loadu_pd(d.add(2 * k)), _mm_loadu_pd(s.add(2 * k)));
-            _mm_storeu_pd(d.add(2 * k), v);
-        }
-        for i in chunks * 2..n {
-            dst[i] *= src[i];
-        }
-    }
-
-    #[target_feature(enable = "sse2")]
-    pub unsafe fn mul_scalar(dst: &mut [f64], m: f64) {
-        let n = dst.len();
-        let chunks = n / 2;
-        let d = dst.as_mut_ptr();
-        let mv = _mm_set1_pd(m);
-        for k in 0..chunks {
-            _mm_storeu_pd(d.add(2 * k), _mm_mul_pd(_mm_loadu_pd(d.add(2 * k)), mv));
-        }
-        for a in &mut dst[chunks * 2..] {
-            *a *= m;
-        }
-    }
-
-    #[target_feature(enable = "sse2")]
-    pub unsafe fn div_into(num: &[f64], den: &[f64], out: &mut [f64]) {
-        let n = out.len();
-        let chunks = n / 2;
-        let zero = _mm_setzero_pd();
-        for k in 0..chunks {
-            let nv = _mm_loadu_pd(num.as_ptr().add(2 * k));
-            let dv = _mm_loadu_pd(den.as_ptr().add(2 * k));
-            // safe_div as compare-and-mask: den == 0 lanes become +0.0.
-            let q = _mm_div_pd(nv, dv);
-            let is_zero = _mm_cmpeq_pd(dv, zero);
-            _mm_storeu_pd(out.as_mut_ptr().add(2 * k), _mm_andnot_pd(is_zero, q));
-        }
-        for i in chunks * 2..n {
-            out[i] = safe_div(num[i], den[i]);
-        }
-    }
-
-    #[target_feature(enable = "sse2")]
-    pub unsafe fn div_assign(dst: &mut [f64], den: &[f64]) {
-        let n = dst.len().min(den.len());
-        let chunks = n / 2;
-        let zero = _mm_setzero_pd();
-        let d = dst.as_mut_ptr();
-        for k in 0..chunks {
-            let nv = _mm_loadu_pd(d.add(2 * k));
-            let dv = _mm_loadu_pd(den.as_ptr().add(2 * k));
-            let q = _mm_div_pd(nv, dv);
-            let is_zero = _mm_cmpeq_pd(dv, zero);
-            _mm_storeu_pd(d.add(2 * k), _mm_andnot_pd(is_zero, q));
-        }
-        for i in chunks * 2..n {
-            dst[i] = safe_div(dst[i], den[i]);
-        }
-    }
-
-    // Fused plan loops: the sibling single-block kernels inline here
-    // (same target feature), so one outer call covers the whole plan.
-
-    #[target_feature(enable = "sse2")]
-    pub unsafe fn marg_sum_contig(segs: &[Segment], src: &[f64], dst: &mut [f64]) {
-        let mut pos = 0;
-        for seg in segs {
-            add_assign(
-                &mut dst[seg.target_base..seg.target_base + seg.len],
-                &src[pos..pos + seg.len],
-            );
-            pos += seg.len;
-        }
-    }
-
-    #[target_feature(enable = "sse2")]
-    pub unsafe fn marg_sum_broadcast(segs: &[Segment], src: &[f64], dst: &mut [f64]) {
-        let mut pos = 0;
-        for seg in segs {
-            let xs = &src[pos..pos + seg.len];
-            if let [x] = xs {
-                dst[seg.target_base] += *x;
-            } else {
-                dst[seg.target_base] += sum(xs);
-            }
-            pos += seg.len;
-        }
-    }
-
-    #[target_feature(enable = "sse2")]
-    pub unsafe fn marg_max_contig(segs: &[Segment], src: &[f64], dst: &mut [f64]) {
-        let mut pos = 0;
-        for seg in segs {
-            max_assign(
-                &mut dst[seg.target_base..seg.target_base + seg.len],
-                &src[pos..pos + seg.len],
-            );
-            pos += seg.len;
-        }
-    }
-
-    #[target_feature(enable = "sse2")]
-    pub unsafe fn marg_max_broadcast(segs: &[Segment], src: &[f64], dst: &mut [f64]) {
-        let mut pos = 0;
-        for seg in segs {
-            let slot = &mut dst[seg.target_base];
-            *slot = fold_max(*slot, &src[pos..pos + seg.len]);
-            pos += seg.len;
-        }
-    }
-
-    #[target_feature(enable = "sse2")]
-    pub unsafe fn mul_contig(segs: &[Segment], src: &[f64], out: &mut [f64]) {
-        let mut pos = 0;
-        for seg in segs {
-            mul_assign(
-                &mut out[pos..pos + seg.len],
-                &src[seg.target_base..seg.target_base + seg.len],
-            );
-            pos += seg.len;
-        }
-    }
-
-    #[target_feature(enable = "sse2")]
-    pub unsafe fn mul_broadcast(segs: &[Segment], src: &[f64], out: &mut [f64]) {
-        let mut pos = 0;
-        for seg in segs {
-            mul_scalar(&mut out[pos..pos + seg.len], src[seg.target_base]);
-            pos += seg.len;
-        }
+/// Elementwise `dst[i] *= src[i]`.
+#[inline]
+fn mul_assign(dst: &mut [f64], src: &[f64]) {
+    for (a, &b) in dst.iter_mut().zip(src) {
+        *a *= b;
     }
 }
 
-/// AVX2 kernels: the canonical 4-lane tree as one 4-lane accumulator,
-/// split 128/128 for the final combine (same op DAG as SSE2/scalar).
-///
-/// # Safety
-///
-/// Every function is `#[target_feature(enable = "avx2")]` and must only
-/// be called after an `is_x86_feature_detected!("avx2")` check.
-#[cfg(all(any(target_arch = "x86", target_arch = "x86_64"), not(miri)))]
-mod avx2 {
-    use self::arch::{
-        _mm256_add_pd, _mm256_andnot_pd, _mm256_castpd256_pd128, _mm256_cmp_pd, _mm256_div_pd,
-        _mm256_extractf128_pd, _mm256_loadu_pd, _mm256_max_pd, _mm256_mul_pd, _mm256_set1_pd,
-        _mm256_setzero_pd, _mm256_storeu_pd, _mm_add_pd, _mm_cvtsd_f64, _mm_max_pd,
-        _mm_unpackhi_pd, _CMP_EQ_OQ,
-    };
-    use crate::plan::Segment;
-    use crate::primitives::safe_div;
-    #[cfg(target_arch = "x86")]
-    use std::arch::x86 as arch;
-    #[cfg(target_arch = "x86_64")]
-    use std::arch::x86_64 as arch;
-
-    #[target_feature(enable = "avx2")]
-    pub unsafe fn sum(xs: &[f64]) -> f64 {
-        let chunks = xs.len() / 4;
-        let p = xs.as_ptr();
-        let mut total = 0.0;
-        if chunks > 0 {
-            let mut acc = _mm256_setzero_pd(); // [l0, l1, l2, l3]
-            for k in 0..chunks {
-                acc = _mm256_add_pd(acc, _mm256_loadu_pd(p.add(4 * k)));
-            }
-            let lo = _mm256_castpd256_pd128(acc); // [l0, l1]
-            let hi = _mm256_extractf128_pd::<1>(acc); // [l2, l3]
-            let t = _mm_add_pd(lo, hi); // [l0 + l2, l1 + l3]
-            total = _mm_cvtsd_f64(t) + _mm_cvtsd_f64(_mm_unpackhi_pd(t, t));
-        }
-        for &x in &xs[chunks * 4..] {
-            total += x;
-        }
-        total
-    }
-
-    #[target_feature(enable = "avx2")]
-    pub unsafe fn fold_max(init: f64, xs: &[f64]) -> f64 {
-        let chunks = xs.len() / 4;
-        let p = xs.as_ptr();
-        let mut acc = init;
-        if chunks > 0 {
-            let mut m = _mm256_loadu_pd(p);
-            for k in 1..chunks {
-                m = _mm256_max_pd(_mm256_loadu_pd(p.add(4 * k)), m);
-            }
-            let lo = _mm256_castpd256_pd128(m); // [m0, m1]
-            let hi = _mm256_extractf128_pd::<1>(m); // [m2, m3]
-            let t = _mm_max_pd(lo, hi); // [sel(m0>m2), sel(m1>m3)]
-            let a = _mm_cvtsd_f64(t);
-            let b = _mm_cvtsd_f64(_mm_unpackhi_pd(t, t));
-            let block = if a > b { a } else { b };
-            if block > acc {
-                acc = block;
-            }
-        }
-        for &x in &xs[chunks * 4..] {
-            if x > acc {
-                acc = x;
-            }
-        }
-        acc
-    }
-
-    /// Entries to process ahead of the vector loop so `p` reaches
-    /// 32-byte alignment (an `f64`-aligned pointer is 0..=3 entries
-    /// away). The elementwise kernels peel this head so the 256-bit
-    /// loop's *destination* accesses never split a cache line —
-    /// `Vec<f64>` is only guaranteed 16-byte alignment. Peeling
-    /// regroups which entries share a vector op, which is bit-identical
-    /// for per-entry-independent kernels (and is therefore never done
-    /// in the order-fixed reductions above).
-    #[inline]
-    fn peel(p: *const f64, len: usize) -> usize {
-        let mis = p as usize & 31;
-        if mis == 0 {
-            0
-        } else {
-            ((32 - mis) / 8).min(len)
-        }
-    }
-
-    #[target_feature(enable = "avx2")]
-    pub unsafe fn add_assign(dst: &mut [f64], src: &[f64]) {
-        let n = dst.len().min(src.len());
-        let head = peel(dst.as_ptr(), n);
-        for i in 0..head {
-            dst[i] += src[i];
-        }
-        let chunks = (n - head) / 4;
-        let d = dst.as_mut_ptr().add(head);
-        let s = src.as_ptr().add(head);
-        for k in 0..chunks {
-            let v = _mm256_add_pd(_mm256_loadu_pd(d.add(4 * k)), _mm256_loadu_pd(s.add(4 * k)));
-            _mm256_storeu_pd(d.add(4 * k), v);
-        }
-        for i in head + chunks * 4..n {
-            dst[i] += src[i];
-        }
-    }
-
-    #[target_feature(enable = "avx2")]
-    pub unsafe fn max_assign(dst: &mut [f64], src: &[f64]) {
-        let n = dst.len().min(src.len());
-        let head = peel(dst.as_ptr(), n);
-        for i in 0..head {
-            if src[i] > dst[i] {
-                dst[i] = src[i];
-            }
-        }
-        let chunks = (n - head) / 4;
-        let d = dst.as_mut_ptr().add(head);
-        let s = src.as_ptr().add(head);
-        for k in 0..chunks {
-            let v = _mm256_max_pd(_mm256_loadu_pd(s.add(4 * k)), _mm256_loadu_pd(d.add(4 * k)));
-            _mm256_storeu_pd(d.add(4 * k), v);
-        }
-        for i in head + chunks * 4..n {
-            if src[i] > dst[i] {
-                dst[i] = src[i];
-            }
-        }
-    }
-
-    #[target_feature(enable = "avx2")]
-    pub unsafe fn mul_assign(dst: &mut [f64], src: &[f64]) {
-        let n = dst.len().min(src.len());
-        let head = peel(dst.as_ptr(), n);
-        for i in 0..head {
-            dst[i] *= src[i];
-        }
-        let chunks = (n - head) / 4;
-        let d = dst.as_mut_ptr().add(head);
-        let s = src.as_ptr().add(head);
-        for k in 0..chunks {
-            let v = _mm256_mul_pd(_mm256_loadu_pd(d.add(4 * k)), _mm256_loadu_pd(s.add(4 * k)));
-            _mm256_storeu_pd(d.add(4 * k), v);
-        }
-        for i in head + chunks * 4..n {
-            dst[i] *= src[i];
-        }
-    }
-
-    #[target_feature(enable = "avx2")]
-    pub unsafe fn mul_scalar(dst: &mut [f64], m: f64) {
-        let n = dst.len();
-        let head = peel(dst.as_ptr(), n);
-        for a in &mut dst[..head] {
-            *a *= m;
-        }
-        let chunks = (n - head) / 4;
-        let d = dst.as_mut_ptr().add(head);
-        let mv = _mm256_set1_pd(m);
-        for k in 0..chunks {
-            _mm256_storeu_pd(
-                d.add(4 * k),
-                _mm256_mul_pd(_mm256_loadu_pd(d.add(4 * k)), mv),
-            );
-        }
-        for a in &mut dst[head + chunks * 4..] {
-            *a *= m;
-        }
-    }
-
-    #[target_feature(enable = "avx2")]
-    pub unsafe fn div_into(num: &[f64], den: &[f64], out: &mut [f64]) {
-        let n = out.len();
-        let head = peel(out.as_ptr(), n);
-        for i in 0..head {
-            out[i] = safe_div(num[i], den[i]);
-        }
-        let chunks = (n - head) / 4;
-        let zero = _mm256_setzero_pd();
-        let o = out.as_mut_ptr().add(head);
-        let nm = num.as_ptr().add(head);
-        let dn = den.as_ptr().add(head);
-        for k in 0..chunks {
-            let nv = _mm256_loadu_pd(nm.add(4 * k));
-            let dv = _mm256_loadu_pd(dn.add(4 * k));
-            let q = _mm256_div_pd(nv, dv);
-            let is_zero = _mm256_cmp_pd::<_CMP_EQ_OQ>(dv, zero);
-            _mm256_storeu_pd(o.add(4 * k), _mm256_andnot_pd(is_zero, q));
-        }
-        for i in head + chunks * 4..n {
-            out[i] = safe_div(num[i], den[i]);
-        }
-    }
-
-    #[target_feature(enable = "avx2")]
-    pub unsafe fn div_assign(dst: &mut [f64], den: &[f64]) {
-        let n = dst.len().min(den.len());
-        let head = peel(dst.as_ptr(), n);
-        for i in 0..head {
-            dst[i] = safe_div(dst[i], den[i]);
-        }
-        let chunks = (n - head) / 4;
-        let zero = _mm256_setzero_pd();
-        let d = dst.as_mut_ptr().add(head);
-        let dn = den.as_ptr().add(head);
-        for k in 0..chunks {
-            let nv = _mm256_loadu_pd(d.add(4 * k));
-            let dv = _mm256_loadu_pd(dn.add(4 * k));
-            let q = _mm256_div_pd(nv, dv);
-            let is_zero = _mm256_cmp_pd::<_CMP_EQ_OQ>(dv, zero);
-            _mm256_storeu_pd(d.add(4 * k), _mm256_andnot_pd(is_zero, q));
-        }
-        for i in head + chunks * 4..n {
-            dst[i] = safe_div(dst[i], den[i]);
-        }
-    }
-
-    // Fused plan loops: the sibling single-block kernels inline here
-    // (same target feature), so one outer call covers the whole plan.
-
-    #[target_feature(enable = "avx2")]
-    pub unsafe fn marg_sum_contig(segs: &[Segment], src: &[f64], dst: &mut [f64]) {
-        let mut pos = 0;
-        for seg in segs {
-            add_assign(
-                &mut dst[seg.target_base..seg.target_base + seg.len],
-                &src[pos..pos + seg.len],
-            );
-            pos += seg.len;
-        }
-    }
-
-    #[target_feature(enable = "avx2")]
-    pub unsafe fn marg_sum_broadcast(segs: &[Segment], src: &[f64], dst: &mut [f64]) {
-        let mut pos = 0;
-        for seg in segs {
-            let xs = &src[pos..pos + seg.len];
-            if let [x] = xs {
-                dst[seg.target_base] += *x;
-            } else {
-                dst[seg.target_base] += sum(xs);
-            }
-            pos += seg.len;
-        }
-    }
-
-    #[target_feature(enable = "avx2")]
-    pub unsafe fn marg_max_contig(segs: &[Segment], src: &[f64], dst: &mut [f64]) {
-        let mut pos = 0;
-        for seg in segs {
-            max_assign(
-                &mut dst[seg.target_base..seg.target_base + seg.len],
-                &src[pos..pos + seg.len],
-            );
-            pos += seg.len;
-        }
-    }
-
-    #[target_feature(enable = "avx2")]
-    pub unsafe fn marg_max_broadcast(segs: &[Segment], src: &[f64], dst: &mut [f64]) {
-        let mut pos = 0;
-        for seg in segs {
-            let slot = &mut dst[seg.target_base];
-            *slot = fold_max(*slot, &src[pos..pos + seg.len]);
-            pos += seg.len;
-        }
-    }
-
-    #[target_feature(enable = "avx2")]
-    pub unsafe fn mul_contig(segs: &[Segment], src: &[f64], out: &mut [f64]) {
-        let mut pos = 0;
-        for seg in segs {
-            mul_assign(
-                &mut out[pos..pos + seg.len],
-                &src[seg.target_base..seg.target_base + seg.len],
-            );
-            pos += seg.len;
-        }
-    }
-
-    #[target_feature(enable = "avx2")]
-    pub unsafe fn mul_broadcast(segs: &[Segment], src: &[f64], out: &mut [f64]) {
-        let mut pos = 0;
-        for seg in segs {
-            mul_scalar(&mut out[pos..pos + seg.len], src[seg.target_base]);
-            pos += seg.len;
-        }
+/// Broadcast `dst[i] *= m`.
+#[inline]
+fn mul_scalar(dst: &mut [f64], m: f64) {
+    for a in dst {
+        *a *= m;
     }
 }
 
-/// `std::simd` kernels (nightly, `portable-simd` feature): the
-/// canonical tree on one `f64x4`, lanes combined through `to_array`
-/// with the scalar op sequence.
-#[cfg(feature = "portable-simd")]
-mod portable {
-    use crate::plan::Segment;
-    use crate::primitives::safe_div;
-    use std::simd::cmp::{SimdPartialEq, SimdPartialOrd};
-    // `Select` hosts `Mask::select` on current nightlies (previously an
-    // inherent method).
-    use std::simd::{f64x4, Select};
-
-    pub fn sum(xs: &[f64]) -> f64 {
-        let mut it = xs.chunks_exact(4);
-        let mut total = 0.0;
-        if it.len() > 0 {
-            let mut acc = f64x4::splat(0.0);
-            for c in it.by_ref() {
-                acc += f64x4::from_slice(c);
-            }
-            let l = acc.to_array();
-            total = (l[0] + l[2]) + (l[1] + l[3]);
-        }
-        for &x in it.remainder() {
-            total += x;
-        }
-        total
+/// Elementwise `out[i] = safe_div(num[i], den[i])` (`x/0 = 0`).
+#[inline]
+pub(crate) fn div_into(num: &[f64], den: &[f64], out: &mut [f64]) {
+    debug_assert_eq!(num.len(), out.len());
+    debug_assert_eq!(den.len(), out.len());
+    for ((slot, &n), &d) in out.iter_mut().zip(num).zip(den) {
+        *slot = safe_div(n, d);
     }
+}
 
-    pub fn fold_max(init: f64, xs: &[f64]) -> f64 {
-        let mut it = xs.chunks_exact(4);
-        let mut acc = init;
-        if it.len() > 0 {
-            let mut m = f64x4::from_slice(it.next().unwrap());
-            for c in it.by_ref() {
-                let x = f64x4::from_slice(c);
-                m = x.simd_gt(m).select(x, m);
-            }
-            let l = m.to_array();
-            let t0 = if l[0] > l[2] { l[0] } else { l[2] };
-            let t1 = if l[1] > l[3] { l[1] } else { l[3] };
-            let block = if t0 > t1 { t0 } else { t1 };
-            if block > acc {
-                acc = block;
-            }
-        }
-        for &x in it.remainder() {
-            if x > acc {
-                acc = x;
-            }
-        }
-        acc
+/// Elementwise `dst[i] = safe_div(dst[i], den[i])`.
+#[inline]
+pub(crate) fn div_assign(dst: &mut [f64], den: &[f64]) {
+    debug_assert_eq!(dst.len(), den.len());
+    for (a, &d) in dst.iter_mut().zip(den) {
+        *a = safe_div(*a, d);
     }
+}
 
-    pub fn add_assign(dst: &mut [f64], src: &[f64]) {
-        let n = dst.len().min(src.len());
-        let (dv, dt) = dst[..n].split_at_mut(n - n % 4);
-        for (d, s) in dv.chunks_exact_mut(4).zip(src.chunks_exact(4)) {
-            (f64x4::from_slice(d) + f64x4::from_slice(s)).copy_to_slice(d);
-        }
-        for (a, &b) in dt.iter_mut().zip(&src[n - n % 4..]) {
-            *a += b;
-        }
+// Fused plan loops: each runs the per-segment single-block kernel above
+// over a plan's segment list. `src`/`out` on the scan side is the
+// plan's range window; the target side is the full target table.
+
+/// Contig sum-marginalization: `dst[tb..tb+len] += src[pos..]` per
+/// segment.
+pub(crate) fn marg_sum_contig(segs: &[Segment], src: &[f64], dst: &mut [f64]) {
+    let mut pos = 0;
+    for seg in segs {
+        add_assign(
+            &mut dst[seg.target_base..seg.target_base + seg.len],
+            &src[pos..pos + seg.len],
+        );
+        pos += seg.len;
     }
+}
 
-    pub fn max_assign(dst: &mut [f64], src: &[f64]) {
-        let n = dst.len().min(src.len());
-        let (dv, dt) = dst[..n].split_at_mut(n - n % 4);
-        for (d, s) in dv.chunks_exact_mut(4).zip(src.chunks_exact(4)) {
-            let a = f64x4::from_slice(d);
-            let b = f64x4::from_slice(s);
-            b.simd_gt(a).select(b, a).copy_to_slice(d);
-        }
-        for (a, &b) in dt.iter_mut().zip(&src[n - n % 4..]) {
-            if b > *a {
-                *a = b;
-            }
-        }
+/// Broadcast sum-marginalization: `dst[tb] +=` canonical-order sum of
+/// each segment's block.
+pub(crate) fn marg_sum_broadcast(segs: &[Segment], src: &[f64], dst: &mut [f64]) {
+    let mut pos = 0;
+    for seg in segs {
+        reduce_add_into(&mut dst[seg.target_base], &src[pos..pos + seg.len]);
+        pos += seg.len;
     }
+}
 
-    pub fn mul_assign(dst: &mut [f64], src: &[f64]) {
-        let n = dst.len().min(src.len());
-        let (dv, dt) = dst[..n].split_at_mut(n - n % 4);
-        for (d, s) in dv.chunks_exact_mut(4).zip(src.chunks_exact(4)) {
-            (f64x4::from_slice(d) * f64x4::from_slice(s)).copy_to_slice(d);
-        }
-        for (a, &b) in dt.iter_mut().zip(&src[n - n % 4..]) {
-            *a *= b;
-        }
+/// Contig max-marginalization: elementwise select per segment.
+pub(crate) fn marg_max_contig(segs: &[Segment], src: &[f64], dst: &mut [f64]) {
+    let mut pos = 0;
+    for seg in segs {
+        max_assign(
+            &mut dst[seg.target_base..seg.target_base + seg.len],
+            &src[pos..pos + seg.len],
+        );
+        pos += seg.len;
     }
+}
 
-    pub fn mul_scalar(dst: &mut [f64], m: f64) {
-        let mv = f64x4::splat(m);
-        let n = dst.len();
-        let (dv, dt) = dst.split_at_mut(n - n % 4);
-        for d in dv.chunks_exact_mut(4) {
-            (f64x4::from_slice(d) * mv).copy_to_slice(d);
-        }
-        for a in dt {
-            *a *= m;
-        }
+/// Broadcast max-marginalization: canonical-order max fold of each
+/// segment's block into its slot.
+pub(crate) fn marg_max_broadcast(segs: &[Segment], src: &[f64], dst: &mut [f64]) {
+    let mut pos = 0;
+    for seg in segs {
+        reduce_max_into(&mut dst[seg.target_base], &src[pos..pos + seg.len]);
+        pos += seg.len;
     }
+}
 
-    pub fn div_into(num: &[f64], den: &[f64], out: &mut [f64]) {
-        let n = out.len();
-        let zero = f64x4::splat(0.0);
-        let (ov, ot) = out.split_at_mut(n - n % 4);
-        for ((o, s), d) in ov
-            .chunks_exact_mut(4)
-            .zip(num.chunks_exact(4))
-            .zip(den.chunks_exact(4))
-        {
-            let nv = f64x4::from_slice(s);
-            let dv = f64x4::from_slice(d);
-            dv.simd_eq(zero).select(zero, nv / dv).copy_to_slice(o);
-        }
-        for ((slot, &s), &d) in ot.iter_mut().zip(&num[n - n % 4..]).zip(&den[n - n % 4..]) {
-            *slot = safe_div(s, d);
-        }
+/// Contig multiplication: `out[pos..] *= src[tb..tb+len]` per segment.
+pub(crate) fn mul_contig(segs: &[Segment], src: &[f64], out: &mut [f64]) {
+    let mut pos = 0;
+    for seg in segs {
+        mul_assign(
+            &mut out[pos..pos + seg.len],
+            &src[seg.target_base..seg.target_base + seg.len],
+        );
+        pos += seg.len;
     }
+}
 
-    pub fn div_assign(dst: &mut [f64], den: &[f64]) {
-        let n = dst.len().min(den.len());
-        let zero = f64x4::splat(0.0);
-        let (dv_s, dt) = dst[..n].split_at_mut(n - n % 4);
-        for (o, d) in dv_s.chunks_exact_mut(4).zip(den.chunks_exact(4)) {
-            let nv = f64x4::from_slice(o);
-            let dv = f64x4::from_slice(d);
-            dv.simd_eq(zero).select(zero, nv / dv).copy_to_slice(o);
-        }
-        for (slot, &d) in dt.iter_mut().zip(&den[n - n % 4..]) {
-            *slot = safe_div(*slot, d);
-        }
-    }
-
-    pub fn marg_sum_contig(segs: &[Segment], src: &[f64], dst: &mut [f64]) {
-        let mut pos = 0;
-        for seg in segs {
-            add_assign(
-                &mut dst[seg.target_base..seg.target_base + seg.len],
-                &src[pos..pos + seg.len],
-            );
-            pos += seg.len;
-        }
-    }
-
-    pub fn marg_sum_broadcast(segs: &[Segment], src: &[f64], dst: &mut [f64]) {
-        let mut pos = 0;
-        for seg in segs {
-            let xs = &src[pos..pos + seg.len];
-            if let [x] = xs {
-                dst[seg.target_base] += *x;
-            } else {
-                dst[seg.target_base] += sum(xs);
-            }
-            pos += seg.len;
-        }
-    }
-
-    pub fn marg_max_contig(segs: &[Segment], src: &[f64], dst: &mut [f64]) {
-        let mut pos = 0;
-        for seg in segs {
-            max_assign(
-                &mut dst[seg.target_base..seg.target_base + seg.len],
-                &src[pos..pos + seg.len],
-            );
-            pos += seg.len;
-        }
-    }
-
-    pub fn marg_max_broadcast(segs: &[Segment], src: &[f64], dst: &mut [f64]) {
-        let mut pos = 0;
-        for seg in segs {
-            let slot = &mut dst[seg.target_base];
-            *slot = fold_max(*slot, &src[pos..pos + seg.len]);
-            pos += seg.len;
-        }
-    }
-
-    pub fn mul_contig(segs: &[Segment], src: &[f64], out: &mut [f64]) {
-        let mut pos = 0;
-        for seg in segs {
-            mul_assign(
-                &mut out[pos..pos + seg.len],
-                &src[seg.target_base..seg.target_base + seg.len],
-            );
-            pos += seg.len;
-        }
-    }
-
-    pub fn mul_broadcast(segs: &[Segment], src: &[f64], out: &mut [f64]) {
-        let mut pos = 0;
-        for seg in segs {
-            mul_scalar(&mut out[pos..pos + seg.len], src[seg.target_base]);
-            pos += seg.len;
-        }
+/// Broadcast multiplication: `out[pos..pos+len] *= src[tb]` per segment.
+pub(crate) fn mul_broadcast(segs: &[Segment], src: &[f64], out: &mut [f64]) {
+    let mut pos = 0;
+    for seg in segs {
+        mul_scalar(&mut out[pos..pos + seg.len], src[seg.target_base]);
+        pos += seg.len;
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    /// Deterministic mixed-sign data with zeros, exercising rounding
-    /// and tie edges (no NaNs — those are covered by semantics notes).
-    fn data(n: usize, salt: u64) -> Vec<f64> {
-        (0..n)
-            .map(|i| {
-                let x = (i as u64)
-                    .wrapping_mul(0x9E37_79B9_7F4A_7C15)
-                    .wrapping_add(salt);
-                match x % 7 {
-                    0 => 0.0,
-                    1 => -0.0,
-                    _ => (((x >> 33) % 2003) as f64 - 1001.0) / 37.0,
-                }
-            })
-            .collect()
-    }
+    use crate::raw::fold_max_canonical;
 
     fn bits(xs: &[f64]) -> Vec<u64> {
         xs.iter().map(|v| v.to_bits()).collect()
     }
 
     #[test]
-    fn names_round_trip() {
-        for be in ALL_BACKENDS {
-            assert_eq!(KernelBackend::parse(be.name()), Some(be));
-        }
-        assert_eq!(KernelBackend::parse("AVX2 "), Some(KernelBackend::Avx2));
-        assert_eq!(KernelBackend::parse("neon"), None);
-    }
-
-    #[test]
-    fn scalar_is_always_available_and_detect_is_available() {
-        assert!(KernelBackend::Scalar.is_available());
-        assert!(KernelBackend::detect().is_available());
-        assert!(KernelBackend::available().contains(&KernelBackend::Scalar));
-    }
-
-    #[test]
-    fn choose_falls_back_on_bad_requests() {
-        assert_eq!(choose(Some("scalar")), KernelBackend::Scalar);
-        assert_eq!(
-            choose(Some("definitely-not-a-backend")),
-            KernelBackend::detect()
-        );
-        assert_eq!(choose(None), KernelBackend::detect());
-        if !cfg!(feature = "portable-simd") {
-            // Parseable but unavailable also falls back to detection.
-            assert_eq!(choose(Some("portable")), KernelBackend::detect());
-        }
-    }
-
-    #[test]
-    fn set_active_rejects_unavailable() {
-        if !cfg!(feature = "portable-simd") {
-            assert!(matches!(
-                set_active(KernelBackend::Portable),
-                Err(PotentialError::BackendUnavailable {
-                    backend: "portable"
-                })
-            ));
-        }
-        set_active(KernelBackend::Scalar).unwrap();
+    fn active_is_scalar() {
         assert_eq!(active(), KernelBackend::Scalar);
-        set_active(KernelBackend::detect()).unwrap();
+        assert_eq!(active().name(), "scalar");
     }
 
     #[test]
-    fn reductions_are_bit_identical_across_backends() {
-        for n in 0..=67 {
-            let xs = data(n, 0xA1);
-            let want_sum = KernelBackend::Scalar.sum(&xs);
-            let want_max = KernelBackend::Scalar.fold_max(-1e300, &xs);
-            let want_max0 = KernelBackend::Scalar.fold_max(0.0, &xs);
-            for be in KernelBackend::available() {
-                assert_eq!(
-                    be.sum(&xs).to_bits(),
-                    want_sum.to_bits(),
-                    "{be:?} sum n={n}"
-                );
-                assert_eq!(
-                    be.fold_max(-1e300, &xs).to_bits(),
-                    want_max.to_bits(),
-                    "{be:?} max n={n}"
-                );
-                assert_eq!(
-                    be.fold_max(0.0, &xs).to_bits(),
-                    want_max0.to_bits(),
-                    "{be:?} max/0 n={n}"
-                );
-            }
-        }
+    fn max_keeps_the_accumulator_on_ties_signed_zero_and_nan() {
+        // Tie between +0.0 and -0.0: the accumulator's sign survives.
+        assert_eq!(
+            fold_max_canonical(-0.0, &[0.0]).to_bits(),
+            (-0.0f64).to_bits()
+        );
+        assert_eq!(
+            fold_max_canonical(0.0, &[-0.0; 5]).to_bits(),
+            0.0f64.to_bits()
+        );
+        // A NaN entry never replaces the accumulator…
+        assert_eq!(fold_max_canonical(1.5, &[f64::NAN, 1.0]), 1.5);
+        assert_eq!(fold_max_canonical(1.5, &[f64::NAN; 9]), 1.5);
+        // …and a NaN accumulator is never replaced.
+        assert!(fold_max_canonical(f64::NAN, &[3.0, 4.0]).is_nan());
+        let mut dst = [-0.0, 2.0, f64::NAN];
+        max_assign(&mut dst, &[0.0, f64::NAN, 7.0]);
+        assert_eq!(dst[0].to_bits(), (-0.0f64).to_bits());
+        assert_eq!(dst[1], 2.0);
+        assert!(dst[2].is_nan());
     }
 
     #[test]
-    fn elementwise_ops_are_bit_identical_across_backends() {
-        for n in [0usize, 1, 2, 3, 4, 5, 7, 8, 15, 16, 33, 64] {
-            let src = data(n, 0xB2);
-            let mut den = data(n, 0xC3);
-            // Force exact-zero denominators into the vector body.
-            for d in den.iter_mut().step_by(3) {
-                *d = 0.0;
-            }
-            for be in KernelBackend::available() {
-                for op in 0..5 {
-                    let mut want = data(n, 0xD4);
-                    let mut got = want.clone();
-                    match op {
-                        0 => {
-                            KernelBackend::Scalar.add_assign(&mut want, &src);
-                            be.add_assign(&mut got, &src);
-                        }
-                        1 => {
-                            KernelBackend::Scalar.max_assign(&mut want, &src);
-                            be.max_assign(&mut got, &src);
-                        }
-                        2 => {
-                            KernelBackend::Scalar.mul_assign(&mut want, &src);
-                            be.mul_assign(&mut got, &src);
-                        }
-                        3 => {
-                            KernelBackend::Scalar.mul_scalar(&mut want, 0.37);
-                            be.mul_scalar(&mut got, 0.37);
-                        }
-                        _ => {
-                            KernelBackend::Scalar.div_assign(&mut want, &den);
-                            be.div_assign(&mut got, &den);
-                        }
-                    }
-                    assert_eq!(bits(&want), bits(&got), "{be:?} op={op} n={n}");
-                }
-                let mut want = vec![0.0; n];
-                let mut got = vec![0.0; n];
-                KernelBackend::Scalar.div_into(&src, &den, &mut want);
-                be.div_into(&src, &den, &mut got);
-                assert_eq!(bits(&want), bits(&got), "{be:?} div_into n={n}");
-            }
-        }
+    fn one_entry_broadcast_block_is_a_plain_add() {
+        let mut slot = -0.0;
+        reduce_add_into(&mut slot, &[-0.0]);
+        assert_eq!(slot.to_bits(), (-0.0f64).to_bits());
+        let segs = [Segment {
+            target_base: 0,
+            len: 1,
+        }];
+        let mut dst = [-0.0];
+        marg_sum_broadcast(&segs, &[-0.0], &mut dst);
+        assert_eq!(dst[0].to_bits(), (-0.0f64).to_bits());
     }
 
     #[test]
-    fn elementwise_kernels_peel_misaligned_destinations_identically() {
-        // Slicing the destination at offsets 0..=3 exercises every
-        // alignment-peel head length the AVX2 kernels can take.
-        let src_buf = data(75, 0x29);
-        let mut den_buf = data(75, 0x3A);
-        for x in den_buf.iter_mut().step_by(5) {
-            *x = 0.0;
-        }
-        for off in 0..4usize {
-            let n = 71 - off;
-            let src = &src_buf[off..off + n];
-            let den = &den_buf[off..off + n];
-            for be in KernelBackend::available() {
-                let mut want_buf = data(75, 0x4B);
-                let mut got_buf = want_buf.clone();
-                type ElementwiseOp<'a> = &'a dyn Fn(KernelBackend, &mut [f64]);
-                let ops: [ElementwiseOp; 5] = [
-                    &|b, d| b.add_assign(d, src),
-                    &|b, d| b.max_assign(d, src),
-                    &|b, d| b.mul_assign(d, src),
-                    &|b, d| b.mul_scalar(d, 0.37),
-                    &|b, d| b.div_assign(d, den),
-                ];
-                for (i, op) in ops.iter().enumerate() {
-                    op(KernelBackend::Scalar, &mut want_buf[off..off + n]);
-                    op(be, &mut got_buf[off..off + n]);
-                    assert_eq!(bits(&want_buf), bits(&got_buf), "{be:?} op={i} off={off}");
-                }
-                op_div_into(be, src, den, off, n);
-            }
-        }
-    }
-
-    fn op_div_into(be: KernelBackend, src: &[f64], den: &[f64], off: usize, n: usize) {
-        let mut want_buf = vec![1.0; 75];
-        let mut got_buf = want_buf.clone();
-        KernelBackend::Scalar.div_into(src, den, &mut want_buf[off..off + n]);
-        be.div_into(src, den, &mut got_buf[off..off + n]);
-        assert_eq!(bits(&want_buf), bits(&got_buf), "{be:?} div_into off={off}");
-    }
-
-    #[test]
-    fn fused_plan_loops_are_bit_identical_across_backends() {
-        // Mixed-length segments, including one-entry broadcast blocks
-        // (the `[x]` fast path) and a shared target slot.
-        let segs = [
-            Segment {
-                target_base: 0,
-                len: 1,
-            },
-            Segment {
-                target_base: 2,
-                len: 5,
-            },
-            Segment {
-                target_base: 1,
-                len: 16,
-            },
-            Segment {
-                target_base: 2,
-                len: 3,
-            },
-            Segment {
-                target_base: 3,
-                len: 9,
-            },
-        ];
+    fn fused_plan_loops_equal_their_per_segment_ops() {
+        // Mixed-length segments, including a one-entry block and a
+        // shared target slot.
+        let segs = [(0, 1), (2, 5), (1, 16), (2, 3), (3, 9)]
+            .map(|(target_base, len)| Segment { target_base, len });
         let total: usize = segs.iter().map(|s| s.len).sum();
-        let src = data(total, 0xE5);
-        let big = data(64, 0xF6);
-        for be in KernelBackend::available() {
-            for broadcast in [false, true] {
-                // Broadcast targets slots 0..=3; contig targets spans
-                // up to target_base + len, all within 64.
-                let mut want = data(64, 0x17);
-                let mut got = want.clone();
-                let mut want_w = src.clone();
-                let mut got_w = src.clone();
-                if broadcast {
-                    KernelBackend::Scalar.marg_sum_broadcast(&segs, &src, &mut want);
-                    be.marg_sum_broadcast(&segs, &src, &mut got);
-                    assert_eq!(bits(&want), bits(&got), "{be:?} sum/bcast");
-                    KernelBackend::Scalar.marg_max_broadcast(&segs, &src, &mut want);
-                    be.marg_max_broadcast(&segs, &src, &mut got);
-                    assert_eq!(bits(&want), bits(&got), "{be:?} max/bcast");
-                    KernelBackend::Scalar.mul_broadcast(&segs, &big, &mut want_w);
-                    be.mul_broadcast(&segs, &big, &mut got_w);
-                    assert_eq!(bits(&want_w), bits(&got_w), "{be:?} mul/bcast");
-                } else {
-                    KernelBackend::Scalar.marg_sum_contig(&segs, &src, &mut want);
-                    be.marg_sum_contig(&segs, &src, &mut got);
-                    assert_eq!(bits(&want), bits(&got), "{be:?} sum/contig");
-                    KernelBackend::Scalar.marg_max_contig(&segs, &src, &mut want);
-                    be.marg_max_contig(&segs, &src, &mut got);
-                    assert_eq!(bits(&want), bits(&got), "{be:?} max/contig");
-                    KernelBackend::Scalar.mul_contig(&segs, &big, &mut want_w);
-                    be.mul_contig(&segs, &big, &mut got_w);
-                    assert_eq!(bits(&want_w), bits(&got_w), "{be:?} mul/contig");
-                }
-            }
-        }
-    }
+        let src: Vec<f64> = (0..total).map(|i| (i as f64 * 0.37).sin()).collect();
+        let big: Vec<f64> = (0..64).map(|i| (i as f64 * 0.11).cos()).collect();
+        let init: Vec<f64> = (0..64).map(|i| (i as f64 * 0.23).sin()).collect();
 
-    #[test]
-    fn div_by_zero_yields_positive_zero_everywhere() {
-        let num = [3.5, -2.0, 0.0, 7.0, -0.0, 1.0, 2.0, 3.0];
-        let den = [0.0, 0.0, 0.0, -0.0, 0.0, 0.0, 0.0, 0.0];
-        for be in KernelBackend::available() {
-            let mut out = [1.0; 8];
-            be.div_into(&num, &den, &mut out);
-            assert_eq!(bits(&out), vec![0u64; 8], "{be:?}");
+        let (mut sum_c, mut max_c, mut sum_b, mut max_b) =
+            (init.clone(), init.clone(), init.clone(), init.clone());
+        let (mut mul_c, mut mul_b) = (src.clone(), src.clone());
+        let mut pos = 0;
+        for s in &segs {
+            let (tb, len) = (s.target_base, s.len);
+            let xs = &src[pos..pos + len];
+            add_assign(&mut sum_c[tb..tb + len], xs);
+            max_assign(&mut max_c[tb..tb + len], xs);
+            reduce_add_into(&mut sum_b[tb], xs);
+            reduce_max_into(&mut max_b[tb], xs);
+            mul_assign(&mut mul_c[pos..pos + len], &big[tb..tb + len]);
+            mul_scalar(&mut mul_b[pos..pos + len], big[tb]);
+            pos += len;
         }
+
+        let mut got = init.clone();
+        marg_sum_contig(&segs, &src, &mut got);
+        assert_eq!(bits(&got), bits(&sum_c), "sum/contig");
+        let mut got = init.clone();
+        marg_max_contig(&segs, &src, &mut got);
+        assert_eq!(bits(&got), bits(&max_c), "max/contig");
+        let mut got = init.clone();
+        marg_sum_broadcast(&segs, &src, &mut got);
+        assert_eq!(bits(&got), bits(&sum_b), "sum/broadcast");
+        let mut got = init;
+        marg_max_broadcast(&segs, &src, &mut got);
+        assert_eq!(bits(&got), bits(&max_b), "max/broadcast");
+        let mut got = src.clone();
+        mul_contig(&segs, &big, &mut got);
+        assert_eq!(bits(&got), bits(&mul_c), "mul/contig");
+        let mut got = src;
+        mul_broadcast(&segs, &big, &mut got);
+        assert_eq!(bits(&got), bits(&mul_b), "mul/broadcast");
     }
 }

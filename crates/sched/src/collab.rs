@@ -644,8 +644,7 @@ fn record_exec(stats: &mut ThreadStats, t0: Instant, weight: u64) -> Instant {
 ///
 /// Cross-domain subtasks execute through the interned [`KernelPlan`]
 /// named by `plan` (compiled once per `(task, range)` and cached on the
-/// graph); with `plan-off` they run the stride-walking kernels instead,
-/// which compute bitwise-identical results.
+/// graph).
 #[allow(clippy::too_many_arguments)]
 fn run_part(
     sh: &Shared<'_>,
@@ -657,8 +656,6 @@ fn run_part(
     stats: &mut ThreadStats,
     tr: &WorkerTracer,
 ) {
-    #[cfg(feature = "plan-off")]
-    let _ = plan;
     let n = record.ranges.len();
     let range = record.ranges[part];
     let task = sh.graph.task(record.task);
@@ -668,10 +665,7 @@ fn run_part(
     let t0 = Instant::now();
     match task.kind {
         TaskKind::Marginalize { src, dst, max } => {
-            #[cfg(feature = "plan-off")]
-            let src_domain = &buffers[src.index()].domain;
             let dst_domain = &buffers[dst.index()].domain;
-            #[cfg(not(feature = "plan-off"))]
             let kplan = sh
                 .graph
                 .plans()
@@ -686,7 +680,6 @@ fn run_part(
                 let mut d = unsafe { sh.view.write_full(dst) };
                 let out = d.as_mut_slice();
                 out.fill(0.0);
-                #[cfg(not(feature = "plan-off"))]
                 if max {
                     kplan
                         .marginalize_max_into(&s, out)
@@ -695,14 +688,6 @@ fn run_part(
                     kplan
                         .marginalize_sum_into(&s, out)
                         .expect("plan was compiled for these buffers");
-                }
-                #[cfg(feature = "plan-off")]
-                if max {
-                    raw::max_marginalize_range_into_raw(src_domain, &s, range, dst_domain, out)
-                        .expect("separator domain nests in clique domain");
-                } else {
-                    raw::marginalize_range_into_raw(src_domain, &s, range, dst_domain, out)
-                        .expect("separator domain nests in clique domain");
                 }
                 // Fold partials in part order: the combined marginal is
                 // then bitwise reproducible across thread counts and
@@ -723,7 +708,6 @@ fn run_part(
                 // private partial table; only the arena source is read
                 stats.tables_allocated += 1;
                 let mut partial = PotentialTable::zeros(dst_domain.clone());
-                #[cfg(not(feature = "plan-off"))]
                 if max {
                     kplan
                         .marginalize_max_into(&s, partial.data_mut())
@@ -732,26 +716,6 @@ fn run_part(
                     kplan
                         .marginalize_sum_into(&s, partial.data_mut())
                         .expect("plan was compiled for these buffers");
-                }
-                #[cfg(feature = "plan-off")]
-                if max {
-                    raw::max_marginalize_range_into_raw(
-                        src_domain,
-                        &s,
-                        range,
-                        dst_domain,
-                        partial.data_mut(),
-                    )
-                    .expect("separator domain nests in clique domain");
-                } else {
-                    raw::marginalize_range_into_raw(
-                        src_domain,
-                        &s,
-                        range,
-                        dst_domain,
-                        partial.data_mut(),
-                    )
-                    .expect("separator domain nests in clique domain");
                 }
                 record.partials.lock().push((part, partial));
             }
@@ -766,40 +730,24 @@ fn run_part(
                 .expect("separator domains agree");
         }
         TaskKind::Extend { src, dst } => {
-            #[cfg(feature = "plan-off")]
-            let src_domain = &buffers[src.index()].domain;
-            #[cfg(feature = "plan-off")]
-            let dst_domain = &buffers[dst.index()].domain;
             // SAFETY: as for Divide — disjoint dst windows, read-only src.
             let s = unsafe { sh.view.read_full(src) };
             let mut d = unsafe { sh.view.write_range(dst, range) };
-            #[cfg(not(feature = "plan-off"))]
             sh.graph
                 .plans()
                 .get(plan.expect("extend subtasks carry a plan"))
                 .extend_into(&s, d.as_mut_slice())
                 .expect("plan was compiled for these buffers");
-            #[cfg(feature = "plan-off")]
-            raw::extend_range_into_raw(src_domain, &s, dst_domain, range, d.as_mut_slice())
-                .expect("separator domain nests in clique domain");
         }
         TaskKind::Multiply { src, dst } => {
-            #[cfg(feature = "plan-off")]
-            let src_domain = &buffers[src.index()].domain;
-            #[cfg(feature = "plan-off")]
-            let dst_domain = &buffers[dst.index()].domain;
             // SAFETY: as for Divide — disjoint dst windows, read-only src.
             let s = unsafe { sh.view.read_full(src) };
             let mut d = unsafe { sh.view.write_range(dst, range) };
-            #[cfg(not(feature = "plan-off"))]
             sh.graph
                 .plans()
                 .get(plan.expect("multiply subtasks carry a plan"))
                 .multiply_into(&s, d.as_mut_slice())
                 .expect("plan was compiled for these buffers");
-            #[cfg(feature = "plan-off")]
-            raw::multiply_range_into(src_domain, &s, dst_domain, range, d.as_mut_slice())
-                .expect("extended ratio matches clique domain");
         }
     }
     let t1 = record_exec(stats, t0, range.len() as u64);
@@ -836,19 +784,14 @@ fn complete_static(sh: &Shared<'_>, t: TaskId, stats: &mut ThreadStats) {
 }
 
 /// Whole-task execution through the job's view: the task's interned
-/// full-range [`KernelPlan`] over the full range (or, with `plan-off`,
-/// the same raw walker primitives the partitioned path uses), so the
-/// partitioned and unpartitioned schedules compute literally the same
-/// arithmetic.
+/// full-range [`KernelPlan`], so the partitioned and unpartitioned
+/// schedules compute literally the same arithmetic.
 ///
 /// # Safety
 ///
 /// Caller must hold (via the task DAG) exclusive access to the task's
 /// destination buffer and shared access to its sources.
 unsafe fn exec_full(sh: &Shared<'_>, t: TaskId) {
-    #[cfg(feature = "plan-off")]
-    let buffers = sh.graph.buffers();
-    #[cfg(not(feature = "plan-off"))]
     let plan = |msg: &str| sh.graph.task_plan(t).expect(msg);
     match sh.graph.task(t).kind {
         TaskKind::Marginalize { src, dst, max } => {
@@ -856,31 +799,15 @@ unsafe fn exec_full(sh: &Shared<'_>, t: TaskId) {
             let mut d = sh.view.write_full(dst);
             let out = d.as_mut_slice();
             out.fill(0.0);
-            #[cfg(not(feature = "plan-off"))]
-            {
-                let kplan = plan("marginalize tasks carry a plan");
-                if max {
-                    kplan
-                        .marginalize_max_into(&s, out)
-                        .expect("plan was compiled for these buffers");
-                } else {
-                    kplan
-                        .marginalize_sum_into(&s, out)
-                        .expect("plan was compiled for these buffers");
-                }
-            }
-            #[cfg(feature = "plan-off")]
-            {
-                let src_domain = &buffers[src.index()].domain;
-                let dst_domain = &buffers[dst.index()].domain;
-                let range = EntryRange::full(s.len());
-                if max {
-                    raw::max_marginalize_range_into_raw(src_domain, &s, range, dst_domain, out)
-                        .expect("separator domain nests in clique domain");
-                } else {
-                    raw::marginalize_range_into_raw(src_domain, &s, range, dst_domain, out)
-                        .expect("separator domain nests in clique domain");
-                }
+            let kplan = plan("marginalize tasks carry a plan");
+            if max {
+                kplan
+                    .marginalize_max_into(&s, out)
+                    .expect("plan was compiled for these buffers");
+            } else {
+                kplan
+                    .marginalize_sum_into(&s, out)
+                    .expect("plan was compiled for these buffers");
             }
         }
         TaskKind::Divide { num, den, dst } => {
@@ -893,34 +820,16 @@ unsafe fn exec_full(sh: &Shared<'_>, t: TaskId) {
         TaskKind::Extend { src, dst } => {
             let s = sh.view.read_full(src);
             let mut d = sh.view.write_full(dst);
-            #[cfg(not(feature = "plan-off"))]
             plan("extend tasks carry a plan")
                 .extend_into(&s, d.as_mut_slice())
                 .expect("plan was compiled for these buffers");
-            #[cfg(feature = "plan-off")]
-            {
-                let src_domain = &buffers[src.index()].domain;
-                let dst_domain = &buffers[dst.index()].domain;
-                let range = EntryRange::full(d.len());
-                raw::extend_range_into_raw(src_domain, &s, dst_domain, range, d.as_mut_slice())
-                    .expect("separator domain nests in clique domain");
-            }
         }
         TaskKind::Multiply { src, dst } => {
             let s = sh.view.read_full(src);
             let mut d = sh.view.write_full(dst);
-            #[cfg(not(feature = "plan-off"))]
             plan("multiply tasks carry a plan")
                 .multiply_into(&s, d.as_mut_slice())
                 .expect("plan was compiled for these buffers");
-            #[cfg(feature = "plan-off")]
-            {
-                let src_domain = &buffers[src.index()].domain;
-                let dst_domain = &buffers[dst.index()].domain;
-                let range = EntryRange::full(d.len());
-                raw::multiply_range_into(src_domain, &s, dst_domain, range, d.as_mut_slice())
-                    .expect("extended ratio matches clique domain");
-            }
         }
     }
 }

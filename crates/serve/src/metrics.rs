@@ -132,10 +132,6 @@ pub struct RuntimeStats {
     /// report; the stats protocol omits the field entirely in that
     /// case, so existing consumers see byte-identical output.
     pub plan_cache: Option<PlanCacheStats>,
-    /// Stable name of the SIMD kernel backend answering queries
-    /// (`scalar`, `sse2`, `avx2`, `portable`). Every backend computes
-    /// bit-identical tables; this is purely observability.
-    pub kernel_backend: &'static str,
     /// Incremental-session counters: open/opened/closed/expired totals
     /// plus the merged cached-vs-incremental-vs-full query breakdown.
     /// `None` until the first `session-open` reaches the runtime; the

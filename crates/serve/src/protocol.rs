@@ -51,14 +51,11 @@
 //!     "shards": [{"shard": 0, "served": 6, "errors": 0, "batches": 4,
 //!       "busy_us": 410, "idle_us": 52007, "mean_latency_us": 120,
 //!       "p50_us": 131, "p95_us": 262, "p99_us": 262,
-//!       "arenas_allocated": 1}],
-//!     "kernel_backend": "avx2"}}
+//!       "arenas_allocated": 1}]}}
 //!   ```
 //!
-//!   `kernel_backend` names the SIMD kernel backend answering queries
-//!   (`scalar`, `sse2`, `avx2`, or `portable`); all backends compute
-//!   bit-identical tables. A `plan_cache` object with the kernel-plan
-//!   cache counters follows when the served model compiles plans.
+//!   A `plan_cache` object with the kernel-plan cache counters follows
+//!   the shards when the served model compiles plans.
 //!
 //! * `{"cmd": "trace"}` — summaries of the most recently completed
 //!   queries (oldest first, at most 64), each with its queue/exec
@@ -970,9 +967,6 @@ fn micros(d: std::time::Duration) -> u64 {
 /// line (schema in the [module docs](self)). The kernel-plan cache
 /// counters are appended as a `"plan_cache"` object only when the
 /// snapshot carries them ([`RuntimeStats::plan_cache`] is `Some`).
-/// The `"kernel_backend"` field names the SIMD backend answering
-/// queries; every backend is bit-identical, so the field is purely
-/// observability.
 pub fn format_stats(stats: &RuntimeStats) -> String {
     let mut out = format!(
         "{{\"stats\":{{\"served\":{},\"errors\":{},\"queue_depth\":{},\
@@ -1010,7 +1004,6 @@ pub fn format_stats(stats: &RuntimeStats) -> String {
         ));
     }
     out.push(']');
-    out.push_str(&format!(",\"kernel_backend\":\"{}\"", stats.kernel_backend));
     if let Some(p) = stats.plan_cache {
         out.push_str(&format!(
             ",\"plan_cache\":{{\"hits\":{},\"misses\":{},\"interned\":{}}}",
@@ -1219,7 +1212,7 @@ mod tests {
     }
 
     #[test]
-    fn stats_line_carries_kernel_backend() {
+    fn stats_line_parses_and_omits_absent_sections() {
         let stats = RuntimeStats {
             shards: vec![],
             served: 3,
@@ -1232,7 +1225,6 @@ mod tests {
             p99: std::time::Duration::from_micros(9),
             uptime: std::time::Duration::from_millis(1),
             plan_cache: None,
-            kernel_backend: "scalar",
             sessions: None,
             registry: None,
             faults: None,
@@ -1240,7 +1232,6 @@ mod tests {
         let line = format_stats(&stats);
         let v = parse_json(&line).unwrap();
         let s = v.get("stats").expect("stats object");
-        assert_eq!(s.get("kernel_backend"), Some(&Json::Str("scalar".into())));
         assert_eq!(s.get("served"), Some(&Json::Num(3.0)));
         assert_eq!(s.get("plan_cache"), None);
         assert!(!line.contains("faults"), "absent until a counter moves");
@@ -1261,7 +1252,6 @@ mod tests {
             p99: std::time::Duration::ZERO,
             uptime: std::time::Duration::ZERO,
             plan_cache: None,
-            kernel_backend: "scalar",
             sessions: None,
             registry: None,
             faults: None,
@@ -1543,7 +1533,6 @@ mod tests {
             p99: std::time::Duration::ZERO,
             uptime: std::time::Duration::ZERO,
             plan_cache: None,
-            kernel_backend: "scalar",
             sessions: None,
             registry: None,
             faults: None,

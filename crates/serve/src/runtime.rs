@@ -701,14 +701,13 @@ impl ShardedRuntime {
     }
 
     /// A point-in-time statistics snapshot across all shards, including
-    /// the shared model's kernel-plan cache counters and the active
-    /// SIMD kernel backend. With the `trace` feature, each snapshot
-    /// also drops `plan-cache` and `kernel-backend` instants on the
-    /// control row of every attached shard sink, so exported timelines
-    /// carry the counter history alongside the scheduler spans.
+    /// the shared model's kernel-plan cache counters. With the `trace`
+    /// feature, each snapshot also drops `plan-cache` and `faults`
+    /// instants on the control row of every attached shard sink, so
+    /// exported timelines carry the counter history alongside the
+    /// scheduler spans.
     pub fn stats(&self) -> RuntimeStats {
         let plan_cache = self.inner.model.plan_stats();
-        let kernel_backend = evprop_potential::simd::active().name();
         let mut faults = FaultStats::default();
         for s in &self.inner.shards {
             faults.shed += s.metrics.shed.get();
@@ -730,11 +729,6 @@ impl ShardedRuntime {
                     hits: plan_cache.hits,
                     misses: plan_cache.misses,
                     interned: plan_cache.interned,
-                });
-            shard
-                .state
-                .trace_instant(evprop_trace::SpanKind::KernelBackend {
-                    backend: kernel_backend,
                 });
         }
         let wall = self.inner.started.elapsed();
@@ -768,7 +762,6 @@ impl ShardedRuntime {
             uptime: wall,
             shards,
             plan_cache: Some(plan_cache),
-            kernel_backend,
             sessions: self
                 .inner
                 .sessions

@@ -90,13 +90,6 @@ pub enum SpanKind {
         /// Distinct interned plans at snapshot time.
         interned: u64,
     },
-    /// The active SIMD kernel backend, recorded as an instant on the
-    /// control row alongside stats snapshots so exported timelines
-    /// state which kernels produced them.
-    KernelBackend {
-        /// Stable backend name (`scalar`, `sse2`, `avx2`, `portable`).
-        backend: &'static str,
-    },
     /// A fault-tolerance counter snapshot, recorded as an instant on
     /// the control row alongside stats snapshots so exported timelines
     /// carry the shed/cancel/panic/restart history of the serving
@@ -126,7 +119,6 @@ impl SpanKind {
             SpanKind::Job { .. } => "job",
             SpanKind::Query { .. } => "query",
             SpanKind::PlanCache { .. } => "plan-cache",
-            SpanKind::KernelBackend { .. } => "kernel-backend",
             SpanKind::Faults { .. } => "faults",
         }
     }

@@ -9,7 +9,7 @@
 //! exact equality of `f64::to_bits`.
 
 use evprop::core::{CollaborativeEngine, Engine, SequentialEngine};
-use evprop::potential::{raw, EntryRange, EvidenceSet, KernelBackend};
+use evprop::potential::{raw, EntryRange, EvidenceSet};
 use evprop::sched::SchedulerConfig;
 use evprop::taskgraph::TaskGraph;
 use evprop::workloads::{materialize, random_tree, TreeParams};
@@ -87,62 +87,6 @@ proptest! {
         let s = graph.plans().stats();
         prop_assert!(s.interned > 0, "plan cache saw no interning");
         prop_assert!(s.hits > 0, "repeated δ passes should hit the memo");
-    }
-
-    /// Every available SIMD backend interprets the same plans to the
-    /// same bits as the scalar reference: random shapes × δ ∈
-    /// {1, 3, 64, 4096} × {sum, max} reductions. This is the
-    /// cross-backend determinism contract of DESIGN.md §12 exercised
-    /// end-to-end through the plan cache (the potential crate's unit
-    /// tests cover the kernels in isolation).
-    #[test]
-    fn backends_reduce_bit_identically(
-        seed in 0u64..5000,
-        n in 2usize..16,
-        w in 2usize..6,
-        k in 1usize..4,
-    ) {
-        let backends = KernelBackend::available();
-        let shape = random_tree(&TreeParams::new(n, w, 2, k).with_seed(seed));
-        let graph = TaskGraph::from_shape(&shape);
-        let mut rng = rand::rngs::StdRng::seed_from_u64(seed ^ 0x51D_BEEF);
-        for t in (0..graph.num_tasks()).map(evprop::taskgraph::TaskId) {
-            let Some((scan, target)) = graph.scan_target_domains(t) else {
-                continue;
-            };
-            let (scan, target) = (scan.clone(), target.clone());
-            let scan_data: Vec<f64> =
-                (0..scan.size()).map(|_| rng.gen_range(0.01..1.0)).collect();
-            for delta in DELTAS {
-                let ranges = EntryRange::split(scan.size(), delta);
-                let mut sum_ref = vec![0.0; target.size()];
-                let mut max_ref = vec![0.0; target.size()];
-                for &r in &ranges {
-                    let (_, plan) = graph.ranged_plan(t, r).expect("cross-domain task");
-                    plan.marginalize_sum_into_on(
-                        KernelBackend::Scalar, &scan_data, &mut sum_ref).unwrap();
-                    plan.marginalize_max_into_on(
-                        KernelBackend::Scalar, &scan_data, &mut max_ref).unwrap();
-                }
-                for &be in &backends {
-                    let mut sum_be = vec![0.0; target.size()];
-                    let mut max_be = vec![0.0; target.size()];
-                    for &r in &ranges {
-                        let (_, plan) = graph.ranged_plan(t, r).expect("cross-domain task");
-                        plan.marginalize_sum_into_on(be, &scan_data, &mut sum_be).unwrap();
-                        plan.marginalize_max_into_on(be, &scan_data, &mut max_be).unwrap();
-                    }
-                    prop_assert_eq!(
-                        bits(&sum_ref), bits(&sum_be),
-                        "sum δ={} backend={}", delta, be.name()
-                    );
-                    prop_assert_eq!(
-                        bits(&max_ref), bits(&max_be),
-                        "max δ={} backend={}", delta, be.name()
-                    );
-                }
-            }
-        }
     }
 
     /// Plan-driven execution is bitwise invariant across thread counts
